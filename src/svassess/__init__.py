@@ -26,12 +26,12 @@ from .corpus import (  # noqa: E402
 from .features import (  # noqa: E402
     FeatureModel,
     NlpConfig,
-    SparseVector,
     aggregate_char_word,
     build_char_vocab,
     build_word_vocab,
     standard_configs,
     transform,
+    transform_many,
 )
 from .models import (  # noqa: E402
     CLASSIFIER_KINDS,
@@ -55,7 +55,7 @@ from .evaluation import (  # noqa: E402
 from .textprep import preprocess_text, tokenize_code  # noqa: E402
 from .porter import porter_stem  # noqa: E402
 from .drift import drift_report  # noqa: E402
-from .reduce import lsa_fit, lsa_transform  # noqa: E402
+from .reduce import lsa_fit, lsa_transform_many  # noqa: E402
 from .scopes import (  # noqa: E402
     CONTEXT_MODES,
     ContextConfig,
@@ -98,12 +98,12 @@ __all__ = [
     "serialize_dataset",
     "FeatureModel",
     "NlpConfig",
-    "SparseVector",
     "aggregate_char_word",
     "build_char_vocab",
     "build_word_vocab",
     "standard_configs",
     "transform",
+    "transform_many",
     "CLASSIFIER_KINDS",
     "ClassifierSpec",
     "TrainedModel",
@@ -124,7 +124,7 @@ __all__ = [
     "porter_stem",
     "drift_report",
     "lsa_fit",
-    "lsa_transform",
+    "lsa_transform_many",
     "CONTEXT_MODES",
     "ContextConfig",
     "build_input",

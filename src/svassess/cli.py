@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .corpus import load_dataset
@@ -37,7 +38,7 @@ from .evaluation import (
     rounds10_wrap_splits,
     time_kfold_splits,
 )
-from .features import standard_configs, transform, FeatureModel, build_char_vocab, build_word_vocab, aggregate_char_word
+from .features import standard_configs, transform, transform_many, FeatureModel, build_char_vocab, build_word_vocab, aggregate_char_word
 from .models import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -100,7 +101,6 @@ class PipelineConfig:
     protocol: str = "time_kfold"
     policy: str = "ch3"
     seed: int = 0
-    workers: int = 1
     out: str = "assess_out"
     mode: str = "vuln_only"
     time_k: int = 2
@@ -121,8 +121,8 @@ class PipelineConfig:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.mode not in CONTEXT_MODES:
             raise ValueError(f"mode must be one of {CONTEXT_MODES}")
-        if self.workers < 1 or self.time_k < 1:
-            raise ValueError("workers and time_k must be at least 1")
+        if self.time_k < 1:
+            raise ValueError("time_k must be at least 1")
         n_feature_configs = len(standard_configs())
         if not self.feature_configs or any(
             not (1 <= i <= n_feature_configs) for i in self.feature_configs
@@ -147,7 +147,6 @@ class PipelineConfig:
             "protocol": self.protocol,
             "policy": self.policy,
             "seed": self.seed,
-            "workers": self.workers,
             "out": self.out,
             "mode": self.mode,
             "time_k": self.time_k,
@@ -169,7 +168,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--dataset", help="input JSONL dataset")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--workers", type=int)
         sp.add_argument("--out")
         sp.add_argument("--granularity", choices=GRANULARITIES)
         sp.add_argument("--mode", choices=CONTEXT_MODES)
@@ -181,7 +179,6 @@ def build_parser() -> _Parser:
 _FLAG_KEYS = (
     "dataset",
     "seed",
-    "workers",
     "out",
     "granularity",
     "mode",
@@ -225,7 +222,11 @@ def write_manifest(cfg: PipelineConfig) -> None:
         "config": config_dict,
         "config_sha256": digest,
         "seed": cfg.seed,
-        "versions": {"svassess": __version__, "numpy": np.version.version},
+        "versions": {
+            "svassess": __version__,
+            "numpy": np.version.version,
+            "scipy": scipy.__version__,
+        },
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -357,7 +358,7 @@ def _cmd_featurize(cfg: PipelineConfig) -> int:
     ds = load_dataset(_require_dataset(cfg), cfg.granularity)
     docs = [_tokenize(r, cfg.granularity) for r in ds]
     nlp = standard_configs()[cfg.feature_configs[0] - 1]
-    model, vectors = _fit_features(docs, nlp)
+    model, matrix = _fit_features(docs, nlp)
     out = Path(cfg.out)
     (out / "feature_model.json").write_text(model.to_json() + "\n", encoding="utf-8")
     stats = {
@@ -365,7 +366,7 @@ def _cmd_featurize(cfg: PipelineConfig) -> int:
         "width": model.width,
         "word_terms": len(model.word_vocab),
         "char_terms": len(model.char_vocab),
-        "nonzeros": int(sum(len(v.indices) for v in vectors)),
+        "nonzeros": int(matrix.nnz),
     }
     (out / "feature_stats.json").write_text(
         json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -384,46 +385,43 @@ def _load_corpus(cfg: PipelineConfig):
 
 
 class _FeatureCache:
-    """Per (feature config, fold) fitted models and vectors, shared by
-    every task and classifier in a run - the features do not depend on
-    either, so each pair is fitted exactly once."""
+    """Per (feature config, fold) fitted models and feature matrices,
+    shared by every task and classifier in a run - the features do not
+    depend on either, so each pair is fitted exactly once."""
 
     def __init__(self, docs):
         self.docs = docs
         self._fits: dict = {}
 
-    def fold_vectors(self, feature_config: int, fold):
+    def fold_matrices(self, feature_config: int, fold):
+        """(train matrix, validation matrix), rows in the fold's id order."""
         key = (feature_config, fold)
         if key not in self._fits:
             nlp = standard_configs()[feature_config - 1]
-            model, train_vecs = _fit_features(
-                [self.docs[i] for i in fold.train_ids], nlp
-            )
-            vecs = dict(zip(fold.train_ids, train_vecs))
-            for i in fold.val_ids:
-                vecs[i] = transform(model, self.docs[i])
-            self._fits[key] = vecs
+            model, train = _fit_features([self.docs[i] for i in fold.train_ids], nlp)
+            val = transform_many(model, [self.docs[i] for i in fold.val_ids])
+            self._fits[key] = (train, val)
         return self._fits[key]
 
     def full_fit(self, feature_config: int, ids):
+        """(model, matrix) fitted on every id, rows in id order."""
         key = (feature_config, None)
         if key not in self._fits:
             nlp = standard_configs()[feature_config - 1]
-            model, vecs = _fit_features([self.docs[i] for i in ids], nlp)
-            self._fits[key] = (model, dict(zip(ids, vecs)))
+            self._fits[key] = _fit_features([self.docs[i] for i in ids], nlp)
         return self._fits[key]
 
 
 def _make_task_evaluator(cfg, cache: _FeatureCache, task_labels):
     def evaluate_point(point, fold):
-        vecs = cache.fold_vectors(point.feature_config, fold)
+        train, val = cache.fold_matrices(point.feature_config, fold)
         clf = train_classifier(
             point.classifier,
-            [vecs[i] for i in fold.train_ids],
+            train,
             [task_labels[i] for i in fold.train_ids],
             seed=cfg.seed,
         )
-        predicted, _ = predict(clf, [vecs[i] for i in fold.val_ids])
+        predicted, _ = predict(clf, val)
         gold = [task_labels[i] for i in fold.val_ids]
         return compute_metrics(gold, predicted)
 
@@ -449,10 +447,10 @@ def _cmd_train(cfg: PipelineConfig) -> int:
         evaluate_point = _make_task_evaluator(cfg, cache, labels[task])
 
         def refit(point):
-            model, vecs = cache.full_fit(point.feature_config, all_ids)
+            model, matrix = cache.full_fit(point.feature_config, all_ids)
             clf = train_classifier(
                 point.classifier,
-                [vecs[i] for i in all_ids],
+                matrix,
                 [labels[task][i] for i in all_ids],
                 seed=cfg.seed,
             )
@@ -547,8 +545,7 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
         bundle = json.loads(path.read_text(encoding="utf-8"))
         feature_model = FeatureModel.from_json(json.dumps(bundle["feature_model"]))
         classifier = TrainedModel.from_json(json.dumps(bundle["classifier"]))
-        vec = transform(feature_model, tokens)
-        predicted, _ = predict(classifier, [vec])
+        predicted, _ = predict(classifier, transform(feature_model, tokens))
         assessment[bundle["task"]] = predicted[0]
     payload = {"id": obj.get("id"), "labels": assessment}
     (Path(cfg.out) / "assessment.json").write_text(

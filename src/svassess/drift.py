@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .features import FeatureModel, transform
+import numpy as np
+
+from .features import FeatureModel, transform_many
 
 
 @dataclass
@@ -58,37 +60,42 @@ def new_terms_by_year(dated_docs: list[tuple[int, list[str]]]) -> dict[int, int]
     return counts
 
 
+def _row_support(model: FeatureModel, docs: list[list[str]]) -> np.ndarray:
+    """Non-zero feature count of each doc's transformed row."""
+    return np.diff(transform_many(model, docs).indptr)
+
+
+def _coverage(support) -> float:
+    if not len(support):
+        raise ValueError("coverage of an empty doc list is undefined")
+    return sum(1 for n in support if n) / len(support)
+
+
 def find_all_zero_cases(
     model: FeatureModel, docs: list[tuple[str, list[str]]]
 ) -> list[str]:
     """Ids of docs whose transformed vector has empty support."""
-    flagged = []
-    for rid, tokens in docs:
-        if not transform(model, tokens).indices:
-            flagged.append(rid)
-    return flagged
+    support = _row_support(model, [tokens for _, tokens in docs])
+    return [rid for (rid, _), n in zip(docs, support) if n == 0]
 
 
 def char_coverage(model: FeatureModel, docs: list[list[str]]) -> float:
     """Fraction of docs with at least one non-zero feature."""
-    if not docs:
-        raise ValueError("coverage of an empty doc list is undefined")
-    covered = sum(1 for tokens in docs if transform(model, tokens).indices)
-    return covered / len(docs)
+    return _coverage(_row_support(model, docs))
 
 
 def drift_report(
     model: FeatureModel, dated_docs: list[tuple[str, int, list[str]]]
 ) -> DriftReport:
-    """Full diagnostic over (id, year, tokens) triples."""
+    """Full diagnostic over (id, year, tokens) triples; each doc is
+    transformed once."""
     new_terms = new_terms_by_year([(year, tokens) for _, year, tokens in dated_docs])
-    all_zero = find_all_zero_cases(model, [(rid, tokens) for rid, _, tokens in dated_docs])
-    by_year: dict[int, list[list[str]]] = {}
-    for _, year, tokens in dated_docs:
-        by_year.setdefault(year, []).append(tokens)
-    coverage = {
-        year: char_coverage(model, docs) for year, docs in sorted(by_year.items())
-    }
+    support = _row_support(model, [tokens for _, _, tokens in dated_docs])
+    all_zero = [rid for (rid, _, _), n in zip(dated_docs, support) if n == 0]
+    by_year: dict[int, list[int]] = {}
+    for (_, year, _), n in zip(dated_docs, support):
+        by_year.setdefault(year, []).append(n)
+    coverage = {year: _coverage(ns) for year, ns in sorted(by_year.items())}
     return DriftReport(
         new_terms=new_terms, all_zero_ids=all_zero, coverage_by_year=coverage
     )

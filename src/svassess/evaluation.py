@@ -312,8 +312,11 @@ def grid_search(
 
     `evaluate(spec, fold)` trains on the fold's training ids and scores
     its validation ids; `refit(spec)` produces the final model.  A config
-    whose evaluation raises is recorded as failed and skipped by the
-    ranking; if every config fails the search itself fails.  Ranking
+    whose evaluation raises `ValueError` - the data conditions a grid
+    point can meet, such as a single-class fold, k above the sample
+    count or an empty sample - is recorded as failed and skipped by the
+    ranking; if every config fails the search itself fails.  Any other
+    exception is a bug and propagates.  Ranking
     `ch3` orders by accuracy then macro F1, breaking ties by weighted F1,
     then fewer tuned hyperparameters, then lower (deterministic) training
     cost; `mcc` ranks by mean correlation with the same final
@@ -336,7 +339,7 @@ def grid_search(
                     train_cost=cost,
                 )
             )
-        except Exception as exc:  # a broken config should not sink the search
+        except ValueError as exc:  # a data condition should not sink the search
             table.append(
                 GridResult(
                     spec=spec,

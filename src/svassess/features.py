@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -98,60 +99,31 @@ class Vocabulary:
         return term in self.index
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    width: int
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have equal length")
-        prev = -1
-        for i, v in zip(self.indices, self.values):
-            if i <= prev or i >= self.width:
-                raise ValueError("indices must be strictly increasing and < width")
-            if not math.isfinite(v) or v == 0.0:
-                raise ValueError("values must be finite and non-zero")
-            prev = i
-
-    @classmethod
-    def from_counts(cls, counts: dict[int, float], width: int) -> "SparseVector":
-        items = sorted((i, v) for i, v in counts.items() if v != 0.0)
-        return cls(
-            indices=tuple(i for i, _ in items),
-            values=tuple(float(v) for _, v in items),
-            width=width,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.width)
-        if self.indices:
-            out[list(self.indices)] = self.values
-        return out
-
-
-def vectors_to_csr(vectors: list[SparseVector]) -> sparse.csr_matrix:
-    """Stack SparseVectors of equal width into one CSR matrix."""
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    width = vectors[0].width
-    if any(v.width != width for v in vectors):
-        raise ValueError("vectors differ in width")
+def _rows_to_csr(rows, width: int) -> sparse.csr_matrix:
+    """One CSR over per-row {column: value} dicts: each row's non-zero
+    items in column order, zero values dropped."""
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
-    for v in vectors:
-        indices.extend(v.indices)
-        data.extend(v.values)
+    for counts in rows:
+        items = sorted((i, v) for i, v in counts.items() if v != 0.0)
+        indices.extend(i for i, _ in items)
+        data.extend(v for _, v in items)
         indptr.append(len(indices))
     return sparse.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(vectors), width),
+        shape=(len(indptr) - 1, width),
     )
+
+
+def vectors_to_csr(rows: list[sparse.spmatrix]) -> sparse.csr_matrix:
+    """Stack sparse rows of equal width into one CSR matrix."""
+    if not rows:
+        raise ValueError("no vectors to stack")
+    width = rows[0].shape[1]
+    if any(r.shape[1] != width for r in rows):
+        raise ValueError("vectors differ in width")
+    return sparse.vstack(rows, format="csr")
 
 
 def _word_ngrams(tokens, lo: int, hi: int):
@@ -260,6 +232,41 @@ def trim_char_terms(char_vocab: Vocabulary, char_min: int, char_max: int) -> set
     return kept
 
 
+def _count(model: FeatureModel, tokens: list[str], char_lengths: set[int]) -> dict[int, float]:
+    """Word part: n-gram occurrence counts.  Char part: overlapping
+    substring occurrences of each stored term (whose lengths are
+    `char_lengths`) over the space-joined token stream.  Unseen terms
+    contribute nothing."""
+    config = model.config
+    counts: dict[int, float] = {}
+    word_index = model.word_vocab.index
+    for gram in _word_ngrams(tokens, config.word_ngram_min, config.word_ngram_max):
+        col = word_index.get(gram)
+        if col is not None:
+            counts[col] = counts.get(col, 0.0) + 1.0
+    if char_lengths:
+        offset = len(model.word_vocab)
+        char_index = model.char_vocab.index
+        joined = " ".join(tokens)
+        for length in char_lengths:
+            for i in range(len(joined) - length + 1):
+                col = char_index.get(joined[i : i + length])
+                if col is not None:
+                    counts[offset + col] = counts.get(offset + col, 0.0) + 1.0
+    return counts
+
+
+def _weigh(model: FeatureModel, counts: dict[int, float]) -> dict[int, float]:
+    """tf-idf weighting, then the L2 norm, as the model's config asks."""
+    if model.config.weighting == "tfidf" and model.idf is not None:
+        counts = {i: v * float(model.idf[i]) for i, v in counts.items()}
+    if model.config.normalize and counts:
+        norm = math.sqrt(sum(v * v for v in counts.values()))
+        if norm > 0:
+            counts = {i: v / norm for i, v in counts.items()}
+    return counts
+
+
 def aggregate_char_word(
     docs: list[list[str]],
     word_vocab: Vocabulary,
@@ -267,13 +274,15 @@ def aggregate_char_word(
     char_min: int,
     char_max: int,
     config: NlpConfig,
-) -> tuple[FeatureModel, list[SparseVector]]:
+) -> tuple[FeatureModel, sparse.csr_matrix]:
     """Trim char grams, drop word terms they duplicate, transform docs.
 
     Output columns are the word part then the char part, each ordered
-    lexicographically.  Char document frequencies are recounted by
-    substring presence over the space-joined docs (the fixed-vocabulary
-    re-vectorization view), so idf matches the transform's counting rule.
+    lexicographically.  A char term's document frequency is the number of
+    docs whose space-joined text contains it as a substring (the
+    fixed-vocabulary re-vectorization view), so idf matches the
+    transform's counting rule.  It is read off the support of the raw
+    count pass: a term is a substring exactly when some window equals it.
     """
     if not (1 <= char_min <= char_max):
         raise ValueError("inconsistent char range for aggregation")
@@ -282,63 +291,41 @@ def aggregate_char_word(
         t: word_vocab.df.get(t, 1) for t in word_vocab.index if t not in slt_chars
     }
     final_word = Vocabulary.from_df(diff_words, "word")
+    final_char = Vocabulary.from_df(dict.fromkeys(slt_chars, 0), "char")  # df below
+    model = FeatureModel(
+        word_vocab=final_word,
+        char_vocab=final_char,
+        config=replace(config, char_min=char_min, char_max=char_max),
+    )
+    char_lengths = {len(t) for t in final_char.index}
+    counts = [_count(model, tokens, char_lengths) for tokens in docs]
+    offset = len(final_word)
+    char_df = Counter(col for row in counts for col in row if col >= offset)
+    final_char.df = {t: char_df[offset + col] for t, col in final_char.index.items()}
 
-    char_df: dict[str, int] = {t: 0 for t in slt_chars}
-    for tokens in docs:
-        joined = " ".join(tokens)
-        for term in slt_chars:
-            if term in joined:
-                char_df[term] += 1
-    final_char = Vocabulary.from_df(char_df, "char")
-
-    transform_config = replace(config, char_min=char_min, char_max=char_max)
-    idf = None
     if config.weighting == "tfidf":
         n_docs = len(docs)
-        idf = np.empty(len(final_word) + len(final_char))
+        idf = np.empty(model.width)
         for term, col in final_word.index.items():
             idf[col] = _smoothed_idf(n_docs, final_word.df.get(term, 0))
-        offset = len(final_word)
         for term, col in final_char.index.items():
-            idf[offset + col] = _smoothed_idf(n_docs, final_char.df.get(term, 0))
+            idf[offset + col] = _smoothed_idf(n_docs, final_char.df[term])
+        model.idf = idf
+    return model, _rows_to_csr((_weigh(model, row) for row in counts), model.width)
 
-    model = FeatureModel(
-        word_vocab=final_word, char_vocab=final_char, config=transform_config, idf=idf
+
+def transform_many(model: FeatureModel, docs: list[list[str]]) -> sparse.csr_matrix:
+    """Doc token lists -> one CSR row each of counts (or tf-idf) over the
+    model's columns."""
+    char_lengths = {len(t) for t in model.char_vocab.index}
+    return _rows_to_csr(
+        (_weigh(model, _count(model, t, char_lengths)) for t in docs), model.width
     )
-    return model, [transform(model, tokens) for tokens in docs]
 
 
-def transform(model: FeatureModel, tokens: list[str]) -> SparseVector:
-    """Doc tokens -> sparse counts (or tf-idf) over the model's columns.
-
-    Word part: n-gram occurrence counts.  Char part: overlapping
-    substring occurrences of each stored term over the space-joined
-    token stream.  Unseen terms contribute nothing.
-    """
-    config = model.config
-    counts: dict[int, float] = {}
-    word_index = model.word_vocab.index
-    for gram in _word_ngrams(tokens, config.word_ngram_min, config.word_ngram_max):
-        col = word_index.get(gram)
-        if col is not None:
-            counts[col] = counts.get(col, 0.0) + 1.0
-    if len(model.char_vocab):
-        offset = len(model.word_vocab)
-        char_index = model.char_vocab.index
-        joined = " ".join(tokens)
-        lengths = {len(t) for t in char_index}
-        for length in lengths:
-            for i in range(len(joined) - length + 1):
-                col = char_index.get(joined[i : i + length])
-                if col is not None:
-                    counts[offset + col] = counts.get(offset + col, 0.0) + 1.0
-    if config.weighting == "tfidf" and model.idf is not None:
-        counts = {i: v * float(model.idf[i]) for i, v in counts.items()}
-    if config.normalize and counts:
-        norm = math.sqrt(sum(v * v for v in counts.values()))
-        if norm > 0:
-            counts = {i: v / norm for i, v in counts.items()}
-    return SparseVector.from_counts(counts, model.width)
+def transform(model: FeatureModel, tokens: list[str]) -> sparse.csr_matrix:
+    """One document as a one-row CSR; see `transform_many`."""
+    return transform_many(model, [tokens])
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +356,24 @@ def build_subtoken_vocab(
 
 def bag_of_subtokens(
     tokens: list[str], vocab: Vocabulary, min_len: int = 2, max_len: int = 6
-) -> SparseVector:
-    """Counts (with multiplicity) of each token's subtokens in the vocab."""
+) -> sparse.csr_matrix:
+    """One-row CSR of the counts (with multiplicity) of each token's
+    subtokens in the vocab."""
     counts: dict[int, float] = {}
     for tok in tokens:
         for sub in _subtokens(tok, min_len, max_len):
             col = vocab.index.get(sub)
             if col is not None:
                 counts[col] = counts.get(col, 0.0) + 1.0
-    return SparseVector.from_counts(counts, len(vocab))
+    return _rows_to_csr([counts], len(vocab))
 
 
-def bag_of_tokens(tokens: list[str], vocab: Vocabulary) -> SparseVector:
-    """Whole-token counts over a word-kind vocabulary of code tokens."""
+def bag_of_tokens(tokens: list[str], vocab: Vocabulary) -> sparse.csr_matrix:
+    """One-row CSR of whole-token counts over a word-kind vocabulary of
+    code tokens."""
     counts: dict[int, float] = {}
     for tok in tokens:
         col = vocab.index.get(tok)
         if col is not None:
             counts[col] = counts.get(col, 0.0) + 1.0
-    return SparseVector.from_counts(counts, len(vocab))
+    return _rows_to_csr([counts], len(vocab))

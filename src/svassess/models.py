@@ -18,8 +18,6 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import SparseVector, vectors_to_csr
-
 CLASSIFIER_KINDS = ("naive_bayes", "logistic_regression", "linear_svm", "knn")
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 KNN_K_GRID = (5, 11, 31, 51)
@@ -175,11 +173,7 @@ class TrainedModel:
 
 
 def _as_csr(features) -> sparse.csr_matrix:
-    if isinstance(features, (list, tuple)) and features and isinstance(
-        features[0], SparseVector
-    ):
-        mat = vectors_to_csr(list(features))
-    elif sparse.issparse(features):
+    if sparse.issparse(features):
         mat = features.tocsr()
     else:
         mat = sparse.csr_matrix(np.asarray(features, dtype=float))
@@ -458,7 +452,7 @@ def ucva_assign(
     A cluster with no training members for a task falls back to the
     global modal class; class ties break lexicographically-first.
     """
-    x = np.atleast_2d(_dense([vector] if isinstance(vector, SparseVector) else vector))
+    x = np.atleast_2d(_dense(vector))
     cluster = int(kmeans_assign(model, x)[0])
     tasks: set[str] = set()
     for per_cluster in table.values():
@@ -524,6 +518,9 @@ def random_oversample(features, labels: Sequence[str], seed: int = 0):
             extra.extend(rng.choice(counts[cls], size=short, replace=True).tolist())
     if isinstance(features, (list, tuple)):
         new_features = list(features) + [features[i] for i in extra]
+    elif sparse.issparse(features):
+        mat = features.tocsr()
+        new_features = sparse.vstack([mat, mat[extra]], format="csr") if extra else mat
     else:
         arr = np.asarray(features)
         new_features = np.concatenate([arr, arr[extra]], axis=0) if extra else arr

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .features import SparseVector, vectors_to_csr
+from .features import vectors_to_csr
 
 POWER_ITERATIONS = 10
 OVERSAMPLE = 8
@@ -69,20 +69,10 @@ def lsa_fit(data, k: int, seed: int = 0) -> LsaModel:
     )
 
 
-def lsa_transform(model: LsaModel, vector: SparseVector) -> np.ndarray:
-    """Project one sparse document vector onto the latent basis."""
-    if vector.width != model.width:
-        raise ValueError(
-            f"vector width {vector.width} does not match model width {model.width}"
-        )
-    out = np.zeros(model.k)
-    for i, v in zip(vector.indices, vector.values):
-        out += v * model.components[i]
-    return out
-
-
-def lsa_transform_many(model: LsaModel, vectors: list[SparseVector]) -> np.ndarray:
-    mat = vectors_to_csr(vectors)
+def lsa_transform_many(model: LsaModel, data) -> np.ndarray:
+    """Project sparse document rows (one row for a single document) onto
+    the latent basis."""
+    mat = _as_matrix(data)
     if mat.shape[1] != model.width:
         raise ValueError(
             f"matrix width {mat.shape[1]} does not match model width {model.width}"

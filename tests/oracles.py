@@ -8,6 +8,7 @@ under test.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -196,3 +197,99 @@ def batch_centroid(all_vectors):
     """Mean of every vector seen so far, recomputed from scratch."""
     arr = np.asarray(all_vectors, dtype=float)
     return arr.mean(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Char+word features, one document at a time.
+# ---------------------------------------------------------------------------
+
+def _reference_word_grams(tokens, lo, hi):
+    for n in range(lo, hi + 1):
+        for i in range(len(tokens) - n + 1):
+            yield " ".join(tokens[i : i + n])
+
+
+def reference_transform_row(model, tokens):
+    """One document's (indices, values): per-document dict counting,
+    tf-idf weighting and L2 norm, then the sorted non-zero items."""
+    config = model.config
+    word_index = model.word_vocab.index
+    char_index = model.char_vocab.index
+    counts = {}
+    for gram in _reference_word_grams(tokens, config.word_ngram_min, config.word_ngram_max):
+        col = word_index.get(gram)
+        if col is not None:
+            counts[col] = counts.get(col, 0.0) + 1.0
+    if len(char_index):
+        offset = len(word_index)
+        joined = " ".join(tokens)
+        lengths = {len(t) for t in char_index}
+        for length in lengths:
+            for i in range(len(joined) - length + 1):
+                col = char_index.get(joined[i : i + length])
+                if col is not None:
+                    counts[offset + col] = counts.get(offset + col, 0.0) + 1.0
+    if config.weighting == "tfidf" and model.idf is not None:
+        counts = {i: v * float(model.idf[i]) for i, v in counts.items()}
+    normalize = (
+        config.weighting == "tfidf" if config.l2_normalize is None else config.l2_normalize
+    )
+    if normalize and counts:
+        norm = math.sqrt(sum(v * v for v in counts.values()))
+        if norm > 0:
+            counts = {i: v / norm for i, v in counts.items()}
+    items = sorted((i, v) for i, v in counts.items() if v != 0.0)
+    return tuple(i for i, _ in items), tuple(float(v) for _, v in items)
+
+
+def reference_stack(rows, width):
+    """(indices, values) rows stacked into a CSR the way they always were."""
+    from scipy import sparse
+
+    indptr = [0]
+    indices = []
+    data = []
+    for idx, vals in rows:
+        indices.extend(idx)
+        data.extend(vals)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(rows), width),
+    )
+
+
+def reference_char_df(docs, terms):
+    """Docs whose space-joined tokens contain each term, by substring scan."""
+    df = {t: 0 for t in terms}
+    for tokens in docs:
+        joined = " ".join(tokens)
+        for term in terms:
+            if term in joined:
+                df[term] += 1
+    return df
+
+
+def reference_aggregate_json(docs, word_vocab, char_vocab, char_min, char_max, config):
+    """The serialized char+word model: trimmed char terms, word terms they
+    do not shadow, and smoothed idf over substring-scan char frequencies."""
+    kept = set()
+    for gram in char_vocab.index:
+        parts = gram.split()
+        if len(parts) == 1 and len(parts[0]) > 1:
+            term = gram.strip()
+            if char_min <= len(term) <= char_max:
+                kept.add(term)
+    words = sorted(t for t in word_vocab.index if t not in kept)
+    chars = sorted(kept)
+    idf = None
+    if config.weighting == "tfidf":
+        n_docs = len(docs)
+        char_df = reference_char_df(docs, chars)
+        dfs = [word_vocab.df.get(t, 1) for t in words] + [char_df[t] for t in chars]
+        idf = [math.log((1 + n_docs) / (1 + df)) + 1.0 for df in dfs]
+    cfg = dict(config.to_dict(), char_min=char_min, char_max=char_max)
+    return json.dumps(
+        {"config": cfg, "word_vocab": words, "char_vocab": chars, "idf": idf},
+        sort_keys=True,
+    )

@@ -87,7 +87,7 @@ def test_criterion_01_ngram_fixture_sets():
     assert set(model.char_vocab.index) == {"He", "el", "ll", "lo", "Wo", "or", "rl", "ld"}
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    assert len(vectors) == 1 and len(vectors[0].indices) > 0
+    assert vectors.shape[0] == 1 and vectors.nnz > 0
     _ok(1, f"n-gram sets exact, aggregation keeps the 8 char grams ({elapsed:.3f}s)")
 
 
@@ -127,7 +127,7 @@ def test_criterion_02_char_model_covers_novel_words():
             for k in rng.integers(2, 5, size=4)
         ]
         vec = transform(model, doc)
-        if len(vec.indices) == 0:
+        if vec.nnz == 0:
             empty += 1
     assert empty == 0
     _ok(2, "1000/1000 held-out docs map to non-empty vectors")

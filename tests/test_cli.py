@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from svassess import cli
 from svassess.corpus import CVSS_TASKS
@@ -73,10 +74,12 @@ def test_missing_config_file_exits_one(capsys):
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"tempo": "presto"}), encoding="utf-8")
-    assert cli.main(["ingest", "--config", str(bad)]) == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    # "workers" was once accepted but never read
+    for raw in ({"tempo": "presto"}, {"workers": 2}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["ingest", "--config", str(bad)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_missing_dataset_path_exits_one(tmp_path, capsys):
@@ -113,6 +116,7 @@ def test_manifest_written_even_when_command_fails(tmp_path, small_reports, capsy
     assert manifest["seed"] == 0
     assert "svassess" in manifest["versions"]
     assert "numpy" in manifest["versions"]
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_manifest_has_no_timestamps(tmp_path, small_reports):
@@ -198,6 +202,16 @@ def test_train_artifacts(trained, capsys):
         )
         assert bundle["task"] == task
         assert bundle["classifier"]["kind"] == "naive_bayes"
+
+
+def test_train_programming_error_exits_two(tmp_path, small_reports, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(cli, "train_classifier", broken)
+    config = write_config(tmp_path, small_reports, tmp_path / "out")
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert "TypeError: bad argument" in capsys.readouterr().err
 
 
 def test_grid_csv_lists_every_point(trained):

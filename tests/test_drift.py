@@ -18,7 +18,10 @@ from svassess.features import (
     aggregate_char_word,
     build_char_vocab,
     build_word_vocab,
+    standard_configs,
 )
+
+import oracles
 
 
 def word_model(docs, **kw):
@@ -132,3 +135,43 @@ def test_property_new_term_counts_bounded_by_vocabulary(docs):
     assert sum(counts.values()) <= len(distinct)
     if docs:
         assert min({y for y, _ in docs}, default=None) not in counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    train=st.lists(
+        st.lists(st.text(alphabet="abcd", min_size=1, max_size=4), max_size=5),
+        min_size=1,
+        max_size=8,
+    ),
+    dated=st.lists(
+        st.tuples(
+            st.integers(2000, 2003),
+            st.lists(st.text(alphabet="abcdxy", min_size=1, max_size=4), max_size=5),
+        ),
+        max_size=12,
+    ),
+    index=st.integers(0, 7),
+)
+def test_property_drift_report_agrees_with_per_doc_diagnostics(train, dated, index):
+    config = standard_configs()[index]
+    model, _ = aggregate_char_word(
+        train,
+        build_word_vocab(train, config),
+        build_char_vocab(train, config),
+        config.char_min,
+        config.char_max,
+        config,
+    )
+    triples = [(f"r{i}", year, tokens) for i, (year, tokens) in enumerate(dated)]
+    report = drift_report(model, triples)
+    pairs = [(rid, tokens) for rid, _, tokens in triples]
+    assert report.all_zero_ids == find_all_zero_cases(model, pairs)
+    assert report.all_zero_ids == [
+        rid for rid, tokens in pairs if not oracles.reference_transform_row(model, tokens)[0]
+    ]
+    years = sorted({year for _, year, _ in triples})
+    assert list(report.coverage_by_year) == years
+    for year in years:
+        docs = [tokens for _, y, tokens in triples if y == year]
+        assert report.coverage_by_year[year] == char_coverage(model, docs)

@@ -320,7 +320,7 @@ def test_grid_search_mcc_policy():
 def test_grid_search_skips_failures_and_errors_when_all_fail():
     def evaluate(s, f):
         if s.name == "bad":
-            raise RuntimeError("boom")
+            raise ValueError("boom")
         return report_with(0.7)
 
     model, _, table = grid_search(
@@ -345,6 +345,22 @@ def test_grid_search_skips_failures_and_errors_when_all_fail():
     with pytest.raises(ValueError):
         grid_search(
             [FakeSpec("x")], one_fold_plan(), "best", evaluate=evaluate, refit=lambda s: s
+        )
+
+
+def test_grid_search_lets_programming_errors_escape():
+    def evaluate(s, f):
+        if s.name == "bad":
+            raise TypeError("boom")
+        return report_with(0.7)
+
+    with pytest.raises(TypeError, match="boom"):
+        grid_search(
+            [FakeSpec("good"), FakeSpec("bad")],
+            one_fold_plan(),
+            "ch3",
+            evaluate=evaluate,
+            refit=lambda s: s.name,
         )
 
 

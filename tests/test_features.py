@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from svassess.features import (
     FeatureModel,
     NlpConfig,
-    SparseVector,
     Vocabulary,
     aggregate_char_word,
     bag_of_subtokens,
@@ -19,11 +19,24 @@ from svassess.features import (
     build_word_vocab,
     standard_configs,
     transform,
+    transform_many,
     trim_char_terms,
     vectors_to_csr,
 )
 
+import oracles
+
 HELLO_DOC = ["Hello", "World"]
+
+
+def assert_csr_identical(got, expected):
+    """Same shape and bit-identical data, indices and indptr."""
+    assert sparse.isspmatrix_csr(got)
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def char_config(lo, hi, **kw):
@@ -86,7 +99,7 @@ def test_aggregate_hello_world_keeps_expected_columns():
     assert set(model.char_vocab.index) == {"He", "el", "ll", "lo", "Wo", "or", "rl", "ld"}
     assert set(model.word_vocab.index) == {"Hello", "World"}
     assert model.width == 10
-    assert len(vectors) == 1 and vectors[0].width == 10
+    assert vectors.shape == (1, 10)
 
 
 def test_aggregate_removes_word_terms_shadowed_by_char_terms():
@@ -129,7 +142,8 @@ def test_transform_counts_words_and_overlapping_chars():
     char_vocab = build_char_vocab(docs, config)
     model, _ = aggregate_char_word(docs, word_vocab, char_vocab, 2, 2, config)
     vec = transform(model, ["aba", "aba"])
-    dense = vec.to_dense()
+    assert vec.shape == (1, model.width)
+    dense = vec.toarray()[0]
     cols = model.word_vocab.index
     offset = len(model.word_vocab)
     assert dense[cols["aba"]] == 2.0
@@ -143,7 +157,8 @@ def test_transform_all_oov_is_empty():
     vocab = build_word_vocab([["known"]], config)
     model = FeatureModel(word_vocab=vocab, char_vocab=Vocabulary({}, {}, "char"), config=config)
     vec = transform(model, ["unseen", "tokens"])
-    assert vec.indices == () and vec.values == ()
+    assert vec.shape == (1, model.width)
+    assert vec.nnz == 0 and len(vec.indices) == 0 and len(vec.data) == 0
 
 
 def test_idf_two_docs_single_df():
@@ -161,8 +176,9 @@ def test_tfidf_transform_is_l2_normalized():
     docs = [["apple", "pear"], ["apple", "plum"]]
     word_vocab = build_word_vocab(docs, config)
     model, vectors = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}, "char"), 2, 6, config)
+    assert vectors.shape[0] == len(docs)
     for vec in vectors:
-        assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(vec.data) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tf_transform_keeps_raw_counts_by_default():
@@ -170,7 +186,7 @@ def test_tf_transform_keeps_raw_counts_by_default():
     docs = [["a", "a", "b"]]
     word_vocab = build_word_vocab(docs, config)
     model, vectors = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}, "char"), 2, 6, config)
-    dense = vectors[0].to_dense()
+    dense = vectors.toarray()[0]
     assert dense[model.word_vocab.index["a"]] == 2.0
     assert dense[model.word_vocab.index["b"]] == 1.0
 
@@ -215,19 +231,6 @@ def test_config_validation():
         NlpConfig(word_min_doc_fraction=0.0)
 
 
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError):
-        SparseVector(indices=(1, 1), values=(1.0, 2.0), width=3)
-    with pytest.raises(ValueError):
-        SparseVector(indices=(2, 1), values=(1.0, 2.0), width=3)
-    with pytest.raises(ValueError):
-        SparseVector(indices=(3,), values=(1.0,), width=3)
-    with pytest.raises(ValueError):
-        SparseVector(indices=(0,), values=(0.0,), width=3)
-    with pytest.raises(ValueError):
-        SparseVector(indices=(0,), values=(float("nan"),), width=3)
-
-
 def test_model_json_round_trip_preserves_transform():
     config = char_config(2, 3, weighting="tfidf")
     docs = [["alpha", "beta"], ["alpha", "gamma"], ["beta", "gamma"]]
@@ -238,7 +241,7 @@ def test_model_json_round_trip_preserves_transform():
     assert reloaded.word_vocab.terms() == model.word_vocab.terms()
     assert reloaded.char_vocab.terms() == model.char_vocab.terms()
     probe = ["alpha", "gamma", "alpha"]
-    assert transform(reloaded, probe) == transform(model, probe)
+    assert_csr_identical(transform(reloaded, probe), transform(model, probe))
     # Serialized payload carries arrays in column order.
     obj = json.loads(model.to_json())
     assert obj["word_vocab"] == sorted(obj["word_vocab"])
@@ -250,30 +253,32 @@ def test_subtoken_enumeration_myvar():
     vocab = build_subtoken_vocab([["MyVar"]], 2, 3)
     assert set(vocab.index) == {"My", "yV", "Va", "ar", "MyV", "yVa", "Var"}
     vec = bag_of_subtokens(["MyVar"], vocab, 2, 3)
-    assert vec.to_dense().tolist() == [1.0] * 7
+    assert vec.toarray().tolist() == [[1.0] * 7]
 
 
 def test_bag_of_tokens_counts_whole_tokens():
     vocab = Vocabulary.from_df({"if": 1, "x": 2}, "word")
     vec = bag_of_tokens(["if", "x", "x", "unknown"], vocab)
-    dense = vec.to_dense()
+    assert vec.shape == (1, 2)
+    dense = vec.toarray()[0]
     assert dense[vocab.index["if"]] == 1.0
     assert dense[vocab.index["x"]] == 2.0
 
 
 def test_vectors_to_csr_round_trip():
     vecs = [
-        SparseVector(indices=(0, 3), values=(1.0, 2.0), width=5),
-        SparseVector(indices=(), values=(), width=5),
-        SparseVector(indices=(4,), values=(-1.5,), width=5),
+        sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 2.0, 0.0]])),
+        sparse.csr_matrix((1, 5)),
+        sparse.csr_matrix(np.array([[0.0, 0.0, 0.0, 0.0, -1.5]])),
     ]
     mat = vectors_to_csr(vecs)
+    assert sparse.isspmatrix_csr(mat)
     assert mat.shape == (3, 5)
-    assert np.array_equal(mat.toarray(), np.stack([v.to_dense() for v in vecs]))
+    assert np.array_equal(mat.toarray(), np.vstack([v.toarray() for v in vecs]))
     with pytest.raises(ValueError):
         vectors_to_csr([])
     with pytest.raises(ValueError):
-        vectors_to_csr([vecs[0], SparseVector(indices=(), values=(), width=4)])
+        vectors_to_csr([vecs[0], sparse.csr_matrix((1, 4))])
 
 
 token_strategy = st.lists(
@@ -292,9 +297,10 @@ def test_property_tfidf_norm_and_disjoint_vocabs(docs):
     model, vectors = aggregate_char_word(docs, word_vocab, char_vocab, 2, 3, config)
     assert set(model.word_vocab.index).isdisjoint(model.char_vocab.index)
     assert model.width == len(model.word_vocab) + len(model.char_vocab)
+    assert vectors.shape == (len(docs), model.width)
     for vec in vectors:
-        if vec.indices:
-            assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        if vec.nnz:
+            assert np.linalg.norm(vec.data) == pytest.approx(1.0, abs=1e-9)
         assert all(0 <= i < model.width for i in vec.indices)
 
 
@@ -306,5 +312,44 @@ def test_property_transform_width_and_determinism(docs, probe):
     model, _ = aggregate_char_word(docs, vocab, Vocabulary({}, {}, "char"), 2, 6, config)
     first = transform(model, probe)
     second = transform(model, probe)
-    assert first == second
-    assert first.width == model.width
+    assert_csr_identical(first, second)
+    assert first.shape == (1, model.width)
+
+
+word_strategy = st.text(alphabet="abcde", min_size=1, max_size=5)
+corpus_strategy = st.lists(st.lists(word_strategy, max_size=7), min_size=1, max_size=10)
+
+
+def _fit(docs, index):
+    config = standard_configs()[index]
+    word_vocab = build_word_vocab(docs, config)
+    char_vocab = build_char_vocab(docs, config)
+    return aggregate_char_word(
+        docs, word_vocab, char_vocab, config.char_min, config.char_max, config
+    ), (word_vocab, char_vocab, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=corpus_strategy, index=st.integers(0, 7))
+def test_property_aggregate_matches_reference(docs, index):
+    (model, matrix), (word_vocab, char_vocab, config) = _fit(docs, index)
+    assert model.to_json() == oracles.reference_aggregate_json(
+        docs, word_vocab, char_vocab, config.char_min, config.char_max, config
+    )
+    rows = [oracles.reference_transform_row(model, tokens) for tokens in docs]
+    assert_csr_identical(matrix, oracles.reference_stack(rows, model.width))
+    terms = model.char_vocab.terms()
+    assert [model.char_vocab.df[t] for t in terms] == [
+        oracles.reference_char_df(docs, terms)[t] for t in terms
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=corpus_strategy, probes=corpus_strategy, index=st.integers(0, 7))
+def test_property_transform_many_matches_stacked_reference_rows(docs, probes, index):
+    (model, _), _ = _fit(docs, index)
+    rows = [oracles.reference_transform_row(model, tokens) for tokens in probes]
+    expected = oracles.reference_stack(rows, model.width)
+    assert_csr_identical(transform_many(model, probes), expected)
+    for tokens, row in zip(probes, rows):
+        assert_csr_identical(transform(model, tokens), oracles.reference_stack([row], model.width))

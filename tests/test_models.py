@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from svassess.features import SparseVector
 from svassess.models import (
     ClassifierSpec,
     TrainedModel,
@@ -61,14 +61,10 @@ def test_nb_symmetric_classes_score_half():
 
 
 def test_nb_empty_support_decided_by_priors():
-    x = [
-        SparseVector(indices=(0,), values=(2.0,), width=3),
-        SparseVector(indices=(0,), values=(1.0,), width=3),
-        SparseVector(indices=(1,), values=(1.0,), width=3),
-    ]
+    x = sparse.csr_matrix(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     y = ["a", "a", "b"]
     model = train_classifier(ClassifierSpec(kind="naive_bayes"), x, y)
-    labels, scores = predict(model, [SparseVector(indices=(), values=(), width=3)])
+    labels, scores = predict(model, sparse.csr_matrix((1, 3)))
     # joint log prob of an empty doc is just the prior: 2/3 vs 1/3
     assert labels == ["a"]
     assert scores[0][0] == pytest.approx(2 / 3, abs=1e-12)
@@ -317,6 +313,10 @@ def test_ros_balances_to_majority_and_keeps_originals():
     assert np.array_equal(rx[:4], x)
     again_x, again_y = random_oversample(x, y, seed=0)
     assert np.array_equal(rx, again_x) and ry == again_y
+    # feature-layer output is CSR: the same rows come back, still sparse
+    sx, sy = random_oversample(sparse.csr_matrix(x), y, seed=0)
+    assert sparse.issparse(sx) and sy == ry
+    assert np.array_equal(sx.toarray(), rx)
 
 
 def test_ros_balanced_and_single_class_unchanged():

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from svassess.features import SparseVector
 from svassess.reduce import (
     EmbeddingTable,
     average_embedding,
     load_embedding_table,
     lsa_fit,
-    lsa_transform,
     lsa_transform_many,
     save_embedding_table,
 )
@@ -18,12 +17,8 @@ from oracles import jacobi_svd, rank_k_reconstruction_error
 
 
 def dense_rows(mat):
-    return [
-        SparseVector.from_counts(
-            {j: float(v) for j, v in enumerate(row) if v != 0.0}, mat.shape[1]
-        )
-        for row in mat
-    ]
+    """One one-row CSR per dense row."""
+    return [sparse.csr_matrix(row[None, :]) for row in mat]
 
 
 def test_identity_singular_values_all_one():
@@ -84,19 +79,20 @@ def test_transform_is_projection_onto_components():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((8, 6))
     model = lsa_fit(a, 3)
-    vec = SparseVector(indices=(0, 2, 5), values=(1.0, -2.0, 0.5), width=6)
-    expect = vec.to_dense() @ model.components
-    assert np.allclose(lsa_transform(model, vec), expect, atol=1e-12)
+    dense = np.array([1.0, 0.0, -2.0, 0.0, 0.0, 0.5])
+    expect = dense @ model.components
+    projected = lsa_transform_many(model, sparse.csr_matrix(dense[None, :]))
+    assert projected.shape == (1, 3)
+    assert np.allclose(projected[0], expect, atol=1e-12)
 
 
 def test_transform_width_mismatch_errors():
     model = lsa_fit(np.eye(4), 2)
+    narrow = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        lsa_transform(model, SparseVector(indices=(0,), values=(1.0,), width=3))
+        lsa_transform_many(model, narrow)
     with pytest.raises(ValueError):
-        lsa_transform_many(
-            model, [SparseVector(indices=(0,), values=(1.0,), width=3)]
-        )
+        lsa_transform_many(model, [narrow])
 
 
 def test_transform_many_matches_single():
@@ -106,7 +102,8 @@ def test_transform_many_matches_single():
     vecs = dense_rows(a[:3])
     batch = lsa_transform_many(model, vecs)
     for row, vec in zip(batch, vecs):
-        assert np.allclose(row, lsa_transform(model, vec), atol=1e-12)
+        assert np.allclose(row, lsa_transform_many(model, vec)[0], atol=1e-12)
+    assert np.allclose(batch, lsa_transform_many(model, sparse.vstack(vecs)), atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -121,14 +118,12 @@ def test_property_transform_linearity(alpha, beta):
     x = np.array([1.0, 0.0, 2.0, -1.0, 0.5])
     y = np.array([0.0, 1.0, -1.0, 3.0, 0.0])
 
-    def sv(arr):
-        return SparseVector.from_counts(
-            {i: float(v) for i, v in enumerate(arr) if v != 0.0}, 5
-        )
+    def project(arr):
+        return lsa_transform_many(model, sparse.csr_matrix(arr[None, :]))[0]
 
     combo = alpha * x + beta * y
-    left = lsa_transform(model, sv(combo))
-    right = alpha * lsa_transform(model, sv(x)) + beta * lsa_transform(model, sv(y))
+    left = project(combo)
+    right = alpha * project(x) + beta * project(y)
     assert np.allclose(left, right, atol=1e-9)
 
 
