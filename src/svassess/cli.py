@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,8 @@ logger = logging.getLogger("svassess")
 
 GRANULARITIES = ("report", "function", "commit")
 CLI_PROTOCOLS = ("time_kfold", "rounds12", "rounds10")
+# the one file `train` writes under models/ and `assess` reads
+BUNDLE_FILE = "bundle.json"
 SUBCOMMANDS = (
     "ingest",
     "featurize",
@@ -140,24 +142,7 @@ class PipelineConfig:
                 raise ValueError(f"{attr} path does not exist: {path}")
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "dataset": self.dataset,
-            "granularity": self.granularity,
-            "protocol": self.protocol,
-            "policy": self.policy,
-            "seed": self.seed,
-            "out": self.out,
-            "mode": self.mode,
-            "time_k": self.time_k,
-            "feature_configs": list(self.feature_configs),
-            "classifiers": list(self.classifiers),
-            "record": self.record,
-            "models": self.models,
-            "keywords": self.keywords,
-            "site": self.site,
-            "step": self.step,
-        }
+        return asdict(self)
 
 
 def build_parser() -> _Parser:
@@ -187,6 +172,13 @@ _FLAG_KEYS = (
 )
 
 
+def _read_json_object(path) -> dict:
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return obj
+
+
 def effective_config(ns: argparse.Namespace) -> PipelineConfig:
     """JSON config file first, command-line flags on top."""
     raw: dict = {}
@@ -194,9 +186,7 @@ def effective_config(ns: argparse.Namespace) -> PipelineConfig:
         path = Path(ns.config)
         if not path.exists():
             raise ValueError(f"config file does not exist: {path}")
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
+        raw = _read_json_object(path)
     for key in _FLAG_KEYS:
         value = getattr(ns, key)
         if value is not None:
@@ -443,6 +433,8 @@ def _cmd_train(cfg: PipelineConfig) -> int:
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     selected = {}
+    feature_models = {}
+    tasks = {}
     for task in ds.tasks:
         evaluate_point = _make_task_evaluator(cfg, cache, labels[task])
 
@@ -461,16 +453,13 @@ def _cmd_train(cfg: PipelineConfig) -> int:
         )
         slug = _task_slug(task)
         (out / f"grid_{slug}.csv").write_text(grid_table_csv(table), encoding="utf-8")
-        bundle = {
-            "task": task,
+        key = str(best.spec.feature_config)
+        if key not in feature_models:
+            feature_models[key] = feature_model.to_dict()
+        tasks[task] = {
             "feature_config": best.spec.feature_config,
-            "classifier_spec": best.spec.classifier.to_dict(),
-            "feature_model": json.loads(feature_model.to_json()),
-            "classifier": json.loads(classifier.to_json()),
+            "classifier": classifier.to_dict(),
         }
-        (models_dir / f"{slug}.json").write_text(
-            json.dumps(bundle, sort_keys=True) + "\n", encoding="utf-8"
-        )
         selected[task] = {
             "feature_config": best.spec.feature_config,
             "classifier_spec": best.spec.classifier.to_dict(),
@@ -478,6 +467,14 @@ def _cmd_train(cfg: PipelineConfig) -> int:
             "n_folds": best.n_folds,
         }
         print(f"{task}: {best.spec.describe()} acc={best.mean_scores['accuracy']:.4f}")
+    bundle = {
+        "granularity": cfg.granularity,
+        "feature_models": feature_models,
+        "tasks": tasks,
+    }
+    (models_dir / BUNDLE_FILE).write_text(
+        json.dumps(bundle, sort_keys=True) + "\n", encoding="utf-8"
+    )
     (out / "selected.json").write_text(
         json.dumps(selected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -531,22 +528,36 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
 def _cmd_assess(cfg: PipelineConfig) -> int:
     if not cfg.record:
         raise ValueError("assess needs a record JSON file (config key: record)")
-    obj = json.loads(Path(cfg.record).read_text(encoding="utf-8"))
+    obj = _read_json_object(cfg.record)
     description = obj.get("description")
     if not isinstance(description, str) or not description.strip():
         raise ValueError("record file needs a non-empty 'description'")
     models_dir = Path(cfg.models) if cfg.models else Path(cfg.out) / "models"
-    bundles = sorted(models_dir.glob("*.json"))
-    if not bundles:
-        raise ValueError(f"no model bundles in {models_dir}; run the train subcommand first")
+    bundle_path = models_dir / BUNDLE_FILE
+    if not bundle_path.exists():
+        raise ValueError(f"no model bundle in {models_dir}; run the train subcommand first")
+    bundle = _read_json_object(bundle_path)
+    if bundle.get("granularity") != "report":
+        raise ValueError(
+            f"{bundle_path} was trained on granularity {bundle.get('granularity')!r};"
+            " assess labels report descriptions"
+        )
     tokens = preprocess_text(description)
+    rows = {}  # one transform per distinct feature config
     assessment = {}
-    for path in bundles:
-        bundle = json.loads(path.read_text(encoding="utf-8"))
-        feature_model = FeatureModel.from_json(json.dumps(bundle["feature_model"]))
-        classifier = TrainedModel.from_json(json.dumps(bundle["classifier"]))
-        predicted, _ = predict(classifier, transform(feature_model, tokens))
-        assessment[bundle["task"]] = predicted[0]
+    for task, entry in bundle["tasks"].items():
+        key = str(entry["feature_config"])
+        try:
+            if key not in rows:
+                if key not in bundle["feature_models"]:
+                    raise ValueError(f"no feature model for config {key}")
+                feature_model = FeatureModel.from_dict(bundle["feature_models"][key])
+                rows[key] = transform(feature_model, tokens)
+            classifier = TrainedModel.from_dict(entry["classifier"])
+            predicted, _ = predict(classifier, rows[key])
+        except ValueError as exc:
+            raise ValueError(f"{bundle_path}, task {task!r}: {exc}") from exc
+        assessment[task] = predicted[0]
     payload = {"id": obj.get("id"), "labels": assessment}
     (Path(cfg.out) / "assessment.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

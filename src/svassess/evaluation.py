@@ -9,7 +9,7 @@ shuffled folds with wrap-around val/test assignment.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -177,15 +177,7 @@ class MetricReport:
     confusion: tuple[tuple[int, ...], ...]  # rows gold, cols predicted
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "weighted_f1": self.weighted_f1,
-            "mcc": self.mcc,
-            "classes": list(self.classes),
-            "per_class": self.per_class,
-            "confusion": [list(row) for row in self.confusion],
-        }
+        return asdict(self)
 
 
 def compute_metrics(gold: Sequence[str], predicted: Sequence[str]) -> MetricReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -48,16 +48,7 @@ class NlpConfig:
         return self.l2_normalize
 
     def to_dict(self) -> dict:
-        return {
-            "word_ngram_min": self.word_ngram_min,
-            "word_ngram_max": self.word_ngram_max,
-            "weighting": self.weighting,
-            "word_min_doc_fraction": self.word_min_doc_fraction,
-            "char_min": self.char_min,
-            "char_max": self.char_max,
-            "char_word_doc_fraction": self.char_word_doc_fraction,
-            "l2_normalize": self.l2_normalize,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NlpConfig":
@@ -187,29 +178,42 @@ class FeatureModel:
     def width(self) -> int:
         return len(self.word_vocab) + len(self.char_vocab)
 
+    def to_dict(self) -> dict:
+        return {
+            "config": self.config.to_dict(),
+            "word_vocab": self.word_vocab.terms(),
+            "char_vocab": self.char_vocab.terms(),
+            "idf": None if self.idf is None else [float(x) for x in self.idf],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config.to_dict(),
-                "word_vocab": self.word_vocab.terms(),
-                "char_vocab": self.char_vocab.terms(),
-                "idf": None if self.idf is None else [float(x) for x in self.idf],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FeatureModel":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "FeatureModel":
+        """Rebuild a model, rejecting an idf that does not fit its
+        columns or its weighting."""
         word = Vocabulary(
             index={t: i for i, t in enumerate(obj["word_vocab"])}, df={}, kind="word"
         )
         char = Vocabulary(
             index={t: i for i, t in enumerate(obj["char_vocab"])}, df={}, kind="char"
         )
+        config = NlpConfig.from_dict(obj["config"])
         idf = None if obj["idf"] is None else np.array(obj["idf"], dtype=float)
-        return cls(word_vocab=word, char_vocab=char,
-                   config=NlpConfig.from_dict(obj["config"]), idf=idf)
+        if (idf is not None) != (config.weighting == "tfidf"):
+            state = "has" if idf is not None else "lacks"
+            raise ValueError(f"feature model with {config.weighting} weighting {state} an idf")
+        model = cls(word_vocab=word, char_vocab=char, config=config, idf=idf)
+        if idf is not None and idf.shape != (model.width,):
+            raise ValueError(
+                f"idf of shape {idf.shape} does not match feature width {model.width}"
+            )
+        return model
+
+    @classmethod
+    def from_json(cls, text: str) -> "FeatureModel":
+        return cls.from_dict(json.loads(text))
 
 
 def _smoothed_idf(n_docs: int, df: int) -> float:

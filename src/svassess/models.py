@@ -12,13 +12,14 @@ part of the contract: two runs with one seed are bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 CLASSIFIER_KINDS = ("naive_bayes", "logistic_regression", "linear_svm", "knn")
+MODEL_KINDS = CLASSIFIER_KINDS + ("kmeans",)
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 KNN_K_GRID = (5, 11, 31, 51)
 KNN_WEIGHTS = ("uniform", "distance")
@@ -67,13 +68,7 @@ class ClassifierSpec:
         return self.kind
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "c": self.c,
-            "knn_k": self.knn_k,
-            "knn_weight": self.knn_weight,
-            "knn_norm": self.knn_norm,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ClassifierSpec":
@@ -126,37 +121,33 @@ class TrainedModel:
             raise ValueError("not a clustering model")
         return self.inertia_history[-1]
 
-    def to_json(self) -> str:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
-
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "labels": list(self.labels),
-                "spec": None if self.spec is None else self.spec.to_dict(),
-                "seed": self.seed,
-                "class_log_prior": arr(self.class_log_prior),
-                "feature_log_prob": arr(self.feature_log_prob),
-                "coef": arr(self.coef),
-                "intercept": arr(self.intercept),
-                "neighbors_x": arr(self.neighbors_x),
-                "neighbors_y": arr(self.neighbors_y),
-                "centroids": arr(self.centroids),
-                "inertia_history": list(self.inertia_history),
-            },
-            sort_keys=True,
+    def to_dict(self) -> dict:
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj.update(
+            labels=list(self.labels),
+            spec=None if self.spec is None else self.spec.to_dict(),
+            inertia_history=list(self.inertia_history),
         )
+        for key, value in obj.items():
+            if isinstance(value, np.ndarray):
+                obj[key] = value.tolist()
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "TrainedModel":
+        """Rebuild a model, rejecting an unknown kind and per-class or
+        per-neighbour arrays whose leading size disagrees with the labels."""
+        if obj["kind"] not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {obj['kind']!r}")
 
         def arr(key, dtype=float):
             v = obj.get(key)
             return None if v is None else np.array(v, dtype=dtype)
 
-        return cls(
+        model = cls(
             kind=obj["kind"],
             labels=tuple(obj["labels"]),
             spec=None if obj["spec"] is None else ClassifierSpec.from_dict(obj["spec"]),
@@ -170,6 +161,19 @@ class TrainedModel:
             centroids=arr("centroids"),
             inertia_history=tuple(obj["inertia_history"]),
         )
+        n = len(model.labels)
+        for key in ("class_log_prior", "feature_log_prob", "coef", "intercept"):
+            a = getattr(model, key)
+            if a is not None and a.shape[:1] != (n,):
+                raise ValueError(f"{key} of shape {a.shape} does not match {n} labels")
+        x, y = model.neighbors_x, model.neighbors_y
+        if x is not None and (y is None or x.shape[:1] != y.shape):
+            raise ValueError("neighbors_x rows do not match neighbors_y")
+        return model
+
+    @classmethod
+    def from_json(cls, text: str) -> "TrainedModel":
+        return cls.from_dict(json.loads(text))
 
 
 def _as_csr(features) -> sparse.csr_matrix:

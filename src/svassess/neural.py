@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,22 +68,7 @@ class AcGruConfig:
         return 4 * len(self.filter_sizes) * self.gru_hidden
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "input_len": self.input_len,
-            "embed_dim": self.embed_dim,
-            "filter_sizes": list(self.filter_sizes),
-            "filters_per_size": self.filters_per_size,
-            "gru_hidden": self.gru_hidden,
-            "attention_hidden": self.attention_hidden,
-            "tasks": [list(t) for t in self.tasks],
-            "dropout": self.dropout,
-            "lr": self.lr,
-            "batch": self.batch,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AcGruConfig":

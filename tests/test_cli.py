@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,11 @@ def test_train_artifacts(trained, capsys):
     _, out = trained
     selected = json.loads((out / "selected.json").read_text(encoding="utf-8"))
     assert set(selected) == set(CVSS_TASKS)
+    assert [p.name for p in (out / "models").iterdir()] == ["bundle.json"]
+    bundle = json.loads((out / "models" / "bundle.json").read_text(encoding="utf-8"))
+    assert bundle["granularity"] == "report"
+    assert set(bundle["feature_models"]) == {"1"}
+    assert set(bundle["tasks"]) == set(CVSS_TASKS)
     for task, choice in selected.items():
         assert choice["feature_config"] == 1
         assert choice["classifier_spec"]["kind"] == "naive_bayes"
@@ -197,11 +203,9 @@ def test_train_artifacts(trained, capsys):
         assert 0.0 <= choice["mean_scores"]["accuracy"] <= 1.0
         slug = task.lower().replace(" ", "_")
         assert (out / f"grid_{slug}.csv").exists()
-        bundle = json.loads(
-            (out / "models" / f"{slug}.json").read_text(encoding="utf-8")
-        )
-        assert bundle["task"] == task
-        assert bundle["classifier"]["kind"] == "naive_bayes"
+        entry = bundle["tasks"][task]
+        assert entry["feature_config"] == 1
+        assert entry["classifier"]["spec"] == choice["classifier_spec"]
 
 
 def test_train_programming_error_exits_two(tmp_path, small_reports, monkeypatch, capsys):
@@ -262,13 +266,19 @@ def test_assess_record(trained, tmp_path, capsys):
 def test_assess_rejects_blank_description(trained, tmp_path, capsys):
     config, _ = trained
     record = tmp_path / "record.json"
-    record.write_text(json.dumps({"id": "SV-X", "description": "   "}), encoding="utf-8")
     patched = json.loads(Path(config).read_text(encoding="utf-8"))
     patched["record"] = str(record)
     config2 = tmp_path / "assess.json"
     config2.write_text(json.dumps(patched), encoding="utf-8")
-    assert cli.main(["assess", "--config", str(config2)]) == 1
-    assert "description" in capsys.readouterr().err
+    # a blank description, and valid JSON that is not an object
+    for content, named in (
+        (json.dumps({"id": "SV-X", "description": "   "}), "description"),
+        ("[]", str(record)),
+        ('"x"', str(record)),
+    ):
+        record.write_text(content, encoding="utf-8")
+        assert cli.main(["assess", "--config", str(config2)]) == 1, content
+        assert named in capsys.readouterr().err, content
 
 
 def test_assess_without_models_exits_one(tmp_path, small_reports, capsys):
@@ -279,6 +289,80 @@ def test_assess_without_models_exits_one(tmp_path, small_reports, capsys):
     )
     assert cli.main(["assess", "--config", str(config)]) == 1
     assert "train subcommand first" in capsys.readouterr().err
+    # a per-task file without bundle.json is not a bundle either
+    (tmp_path / "out" / "models").mkdir()
+    (tmp_path / "out" / "models" / "severity.json").write_text("{}", encoding="utf-8")
+    assert cli.main(["assess", "--config", str(config)]) == 1
+    assert "train subcommand first" in capsys.readouterr().err
+
+
+def _assess_with_bundle(trained, tmp_path, edit):
+    """Run assess against an edited copy of the trained bundle."""
+    config, out = trained
+    bundle = json.loads((out / "models" / "bundle.json").read_text(encoding="utf-8"))
+    edit(bundle)
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "bundle.json").write_text(json.dumps(bundle), encoding="utf-8")
+    record = tmp_path / "record.json"
+    record.write_text(
+        json.dumps({"id": "SV-X", "description": "A parser bug dumps wholly crash halt"}),
+        encoding="utf-8",
+    )
+    patched = json.loads(Path(config).read_text(encoding="utf-8"))
+    patched.update(record=str(record), models=str(models), out=str(tmp_path / "out"))
+    config2 = tmp_path / "assess.json"
+    config2.write_text(json.dumps(patched), encoding="utf-8")
+    return cli.main(["assess", "--config", str(config2)]), tmp_path / "out"
+
+
+def test_assess_rejects_bundle_of_other_granularity(trained, tmp_path, capsys):
+    def edit(bundle):
+        bundle["granularity"] = "function"
+
+    code, _ = _assess_with_bundle(trained, tmp_path, edit)
+    assert code == 1
+    assert "'function'" in capsys.readouterr().err
+
+
+def test_assess_rejection_names_the_task(trained, tmp_path, capsys):
+    def edit(bundle):
+        classifier = bundle["tasks"]["Severity"]["classifier"]
+        classifier["feature_log_prob"] = classifier["feature_log_prob"][:-1]
+
+    code, _ = _assess_with_bundle(trained, tmp_path, edit)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'Severity'" in err and "feature_log_prob" in err
+
+
+def test_assess_transforms_once_per_feature_config(trained, tmp_path, monkeypatch, capsys):
+    calls = []
+    transform = cli.transform
+
+    def counted(model, tokens):
+        calls.append(model)
+        return transform(model, tokens)
+
+    monkeypatch.setattr(cli, "transform", counted)
+
+    def edit(bundle):
+        # a second config entry (a copy of the first) used by two tasks
+        bundle["feature_models"]["2"] = bundle["feature_models"]["1"]
+        for task in ("Integrity", "Severity"):
+            bundle["tasks"][task]["feature_config"] = 2
+
+    code, run = _assess_with_bundle(trained, tmp_path, edit)
+    assert code == 0
+    assert len(calls) == 2  # configs 1 and 2, for seven tasks
+    capsys.readouterr()
+    # the copy predicts what the original does
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    code, ref_run = _assess_with_bundle(trained, reference, lambda bundle: None)
+    assert code == 0
+    assert len(calls) == 3
+    assert (run / "assessment.json").read_bytes() == (ref_run / "assessment.json").read_bytes()
 
 
 def test_byte_identical_rerun(small_reports, tmp_path, capsys):
@@ -476,8 +560,12 @@ def test_emit_report_all_missing_has_no_average():
 
 
 def test_module_invocation_exit_code():
+    # the child process imports the same svassess as this test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "svassess.cli"], capture_output=True, text=True
+        [sys.executable, "-m", "svassess.cli"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 1
     assert "usage" in proc.stderr

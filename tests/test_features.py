@@ -353,3 +353,40 @@ def test_property_transform_many_matches_stacked_reference_rows(docs, probes, in
     assert_csr_identical(transform_many(model, probes), expected)
     for tokens, row in zip(probes, rows):
         assert_csr_identical(transform(model, tokens), oracles.reference_stack([row], model.width))
+
+
+def _tfidf_model():
+    config = char_config(2, 3, weighting="tfidf")
+    docs = [["alpha", "beta"], ["alpha", "gamma"], ["beta", "gamma"]]
+    word_vocab = build_word_vocab(docs, config)
+    char_vocab = build_char_vocab(docs, config)
+    model, _ = aggregate_char_word(docs, word_vocab, char_vocab, 2, 3, config)
+    return model
+
+
+def test_model_load_rejects_idf_not_matching_width():
+    obj = _tfidf_model().to_dict()
+    obj["idf"] = obj["idf"][:-1]
+    with pytest.raises(ValueError, match="width"):
+        FeatureModel.from_dict(obj)
+
+
+def test_model_load_rejects_idf_without_tfidf_weighting():
+    obj = _tfidf_model().to_dict()
+    obj["config"]["weighting"] = "tf"
+    with pytest.raises(ValueError, match="idf"):
+        FeatureModel.from_dict(obj)
+
+
+def test_model_load_rejects_tfidf_weighting_without_idf():
+    obj = _tfidf_model().to_dict()
+    obj["idf"] = None
+    with pytest.raises(ValueError, match="idf"):
+        FeatureModel.from_dict(obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=corpus_strategy, index=st.integers(0, 7))
+def test_property_dict_round_trip_is_byte_identical(docs, index):
+    (model, _), _ = _fit(docs, index)
+    assert FeatureModel.from_dict(model.to_dict()).to_json() == model.to_json()

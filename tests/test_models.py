@@ -6,6 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from svassess.features import (
+    aggregate_char_word,
+    build_char_vocab,
+    build_word_vocab,
+    standard_configs,
+)
 from svassess.models import (
     ClassifierSpec,
     TrainedModel,
@@ -340,3 +346,85 @@ def test_property_ros_counts_all_equal_majority(labels, seed):
     assert max(counts.values()) == max(labels.count(c) for c in set(labels))
     assert ry[: len(labels)] == labels
     assert np.array_equal(rx[: len(labels)], x)
+
+
+# -- load-time checks --------------------------------------------------------
+
+THREE_X = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9], [0.5, 0.5], [0.4, 0.6]])
+THREE_Y = ["a", "a", "b", "b", "c", "c"]
+
+
+def _fitted_dict(kind, **spec):
+    return train_classifier(ClassifierSpec(kind=kind, **spec), THREE_X, THREE_Y).to_dict()
+
+
+def test_model_load_rejects_unknown_kind():
+    obj = _fitted_dict("naive_bayes")
+    obj["kind"] = "forest"
+    with pytest.raises(ValueError, match="forest"):
+        TrainedModel.from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [
+        ("naive_bayes", "class_log_prior"),
+        ("naive_bayes", "feature_log_prob"),
+        ("logistic_regression", "coef"),
+        ("linear_svm", "intercept"),
+    ],
+)
+def test_model_load_rejects_per_class_arrays_not_matching_labels(kind, key):
+    obj = _fitted_dict(kind)
+    TrainedModel.from_dict(obj)  # the intact model loads
+    obj[key] = obj[key][:-1]
+    with pytest.raises(ValueError, match=key):
+        TrainedModel.from_dict(obj)
+
+
+def test_model_load_rejects_neighbors_not_matching_labels():
+    obj = _fitted_dict("knn", knn_k=1)
+    TrainedModel.from_dict(obj)
+    obj["neighbors_y"] = obj["neighbors_y"][:-1]
+    with pytest.raises(ValueError, match="neighbors"):
+        TrainedModel.from_dict(obj)
+
+
+def test_model_load_keeps_kmeans_without_labels():
+    model = kmeans_fit(THREE_X, 3, seed=0)
+    reloaded = TrainedModel.from_dict(model.to_dict())
+    assert reloaded.labels == ()
+    assert reloaded.to_json() == model.to_json()
+
+
+_word = st.text(alphabet="abcde", min_size=1, max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    docs=st.lists(st.lists(_word, min_size=1, max_size=6), min_size=4, max_size=8),
+    data=st.data(),
+)
+def test_property_dict_round_trip_is_byte_identical(docs, data):
+    config = standard_configs()[data.draw(st.integers(0, 7))]
+    model, matrix = aggregate_char_word(
+        docs,
+        build_word_vocab(docs, config),
+        build_char_vocab(docs, config),
+        config.char_min,
+        config.char_max,
+        config,
+    )
+    labels = ["x", "y"] + data.draw(
+        st.lists(st.sampled_from("xyz"), min_size=len(docs) - 2, max_size=len(docs) - 2)
+    )
+    fitted = [kmeans_fit(matrix, 2, seed=0)]
+    for spec in (
+        ClassifierSpec(kind="naive_bayes"),
+        ClassifierSpec(kind="logistic_regression", c=0.1),
+        ClassifierSpec(kind="linear_svm", c=10.0),
+        ClassifierSpec(kind="knn", knn_k=1),
+    ):
+        fitted.append(train_classifier(spec, matrix, labels, seed=1))
+    for m in fitted:
+        assert type(m).from_dict(m.to_dict()).to_json() == m.to_json()
