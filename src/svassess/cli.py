@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .corpus import load_dataset
 from .drift import drift_report
 from .evaluation import (
     POLICIES,
+    GridResult,
     compute_metrics,
     grid_search,
     grid_table_csv,
@@ -38,7 +39,10 @@ from .evaluation import (
     rounds10_wrap_splits,
     time_kfold_splits,
 )
-from .features import standard_configs, transform, transform_many, FeatureModel, build_char_vocab, build_word_vocab, aggregate_char_word
+from .features import (
+    FeatureModel, NlpConfig, aggregate_char_word, build_char_vocab, build_word_vocab,
+    standard_configs, transform, transform_many,
+)
 from .models import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -282,36 +286,16 @@ def _grid_points(cfg: PipelineConfig) -> list[GridPoint]:
     return points
 
 
-def _task_slug(task: str) -> str:
-    return task.lower().replace(" ", "_")
-
-
-def emit_report(rows: list[tuple[str, dict | None]]) -> str:
-    """Aligned per-task table plus an average row; tasks without scores
-    show n/a."""
-    header = ("task", "accuracy", "macro_f1", "weighted_f1", "mcc")
+def emit_report(rows: list[tuple[str, dict]]) -> str:
+    """Aligned per-task table plus an average row."""
     keys = ("accuracy", "macro_f1", "weighted_f1", "mcc")
-    scored = [s for _, s in rows if s is not None]
-    body = list(rows)
-    if scored:
-        body.append(
-            (
-                "average",
-                {k: sum(s[k] for s in scored) / len(scored) for k in keys},
-            )
-        )
-    name_width = max(len(header[0]), *(len(name) for name, _ in body))
-    widths = [max(len(k), 11) for k in header[1:]]
-    lines = [
-        header[0].ljust(name_width)
-        + "".join("  " + h.rjust(w) for h, w in zip(header[1:], widths))
-    ]
+    body = [*rows, ("average", {k: sum(s[k] for _, s in rows) / len(rows) for k in keys})]
+    name_width = max(len("task"), *(len(name) for name, _ in body))
+    widths = [max(len(k), 11) for k in keys]
+    lines = ["task".ljust(name_width) + "".join("  " + k.rjust(w) for k, w in zip(keys, widths))]
     for name, scores in body:
-        cells = []
-        for key, width in zip(keys, widths):
-            text = "n/a" if scores is None else f"{scores[key]:.4f}"
-            cells.append("  " + text.rjust(width))
-        lines.append(name.ljust(name_width) + "".join(cells))
+        cells = "".join("  " + f"{scores[k]:.4f}".rjust(w) for k, w in zip(keys, widths))
+        lines.append(name.ljust(name_width) + cells)
     return "\n".join(lines) + "\n"
 
 
@@ -374,94 +358,94 @@ def _load_corpus(cfg: PipelineConfig):
     return ds, docs, labels
 
 
-class _FeatureCache:
-    """Per (feature config, fold) fitted models and feature matrices,
-    shared by every task and classifier in a run - the features do not
-    depend on either, so each pair is fitted exactly once."""
+def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
+    """Fold reports of every (task, grid point) in fold order, or the
+    error text of the point's first failing fold.
 
-    def __init__(self, docs):
-        self.docs = docs
-        self._fits: dict = {}
+    Each feature config is fitted once per fold; the fold's matrices serve
+    every task and classifier on that config, then are dropped.  A
+    `ValueError` (a data condition: a single-class fold, k above the
+    sample count) fails the point and skips its later folds - raised by
+    featurizing, every live point of the config.  Other exceptions are
+    bugs and propagate.
+    """
+    results = {
+        (task, point): [] for task, points in points_by_task.items() for point in points
+    }
+    by_config: dict[int, list] = {}
+    for key in results:
+        by_config.setdefault(key[1].feature_config, []).append(key)
 
-    def fold_matrices(self, feature_config: int, fold):
-        """(train matrix, validation matrix), rows in the fold's id order."""
-        key = (feature_config, fold)
-        if key not in self._fits:
-            nlp = standard_configs()[feature_config - 1]
-            model, train = _fit_features([self.docs[i] for i in fold.train_ids], nlp)
-            val = transform_many(model, [self.docs[i] for i in fold.val_ids])
-            self._fits[key] = (train, val)
-        return self._fits[key]
+    def fail(key, exc):
+        results[key] = f"{type(exc).__name__}: {exc}"
+        logger.warning("task %r, %s failed: %s", key[0], key[1].describe(), results[key])
 
-    def full_fit(self, feature_config: int, ids):
-        """(model, matrix) fitted on every id, rows in id order."""
-        key = (feature_config, None)
-        if key not in self._fits:
-            nlp = standard_configs()[feature_config - 1]
-            self._fits[key] = _fit_features([self.docs[i] for i in ids], nlp)
-        return self._fits[key]
+    for config, keys in by_config.items():
+        nlp = standard_configs()[config - 1]
+        for fold in plan:
+            live = [key for key in keys if isinstance(results[key], list)]
+            if not live:
+                break
+            try:
+                model, train = _fit_features([docs[i] for i in fold.train_ids], nlp)
+                val = transform_many(model, [docs[i] for i in fold.val_ids])
+            except ValueError as exc:
+                for key in live:
+                    fail(key, exc)
+                continue
+            for task, point in live:
+                task_labels = labels[task]
+                try:
+                    y = [task_labels[i] for i in fold.train_ids]
+                    clf = train_classifier(point.classifier, train, y, seed=seed)
+                    predicted, _ = predict(clf, val)
+                    gold = [task_labels[i] for i in fold.val_ids]
+                    results[task, point].append(compute_metrics(gold, predicted))
+                except ValueError as exc:
+                    fail((task, point), exc)
+    return results
 
 
-def _make_task_evaluator(cfg, cache: _FeatureCache, task_labels):
-    def evaluate_point(point, fold):
-        train, val = cache.fold_matrices(point.feature_config, fold)
-        clf = train_classifier(
-            point.classifier,
-            train,
-            [task_labels[i] for i in fold.train_ids],
-            seed=cfg.seed,
-        )
-        predicted, _ = predict(clf, val)
-        gold = [task_labels[i] for i in fold.val_ids]
-        return compute_metrics(gold, predicted)
-
-    return evaluate_point
+def _grid_row(point: GridPoint, scored, cost: float) -> GridResult:
+    if isinstance(scored, str):  # the error text of its first failing fold
+        return GridResult(point, None, 0, cost, error=scored)
+    return GridResult(point, mean_report_scores(scored), len(scored), cost)
 
 
 def _cmd_train(cfg: PipelineConfig) -> int:
     ds, docs, labels = _load_corpus(cfg)
     plan = _split_plan(cfg, ds.records)
     grid = _grid_points(cfg)
-    n_records = len(ds)
-    cache = _FeatureCache(docs)
-    all_ids = tuple(r.id for r in ds)
-
-    def train_cost(point):
-        return COST_PER_RECORD[point.classifier.kind] * n_records
-
+    scores = _score_folds(docs, labels, plan, {task: grid for task in ds.tasks}, cfg.seed)
+    all_ids = [r.id for r in ds]
+    full_fits = {}  # "<feature config>" -> (model, matrix) over every record
     out = Path(cfg.out)
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     selected = {}
-    feature_models = {}
     tasks = {}
     for task in ds.tasks:
-        evaluate_point = _make_task_evaluator(cfg, cache, labels[task])
-
-        def refit(point):
-            model, matrix = cache.full_fit(point.feature_config, all_ids)
-            clf = train_classifier(
-                point.classifier,
-                matrix,
-                [labels[task][i] for i in all_ids],
-                seed=cfg.seed,
-            )
-            return model, clf
-
-        (feature_model, classifier), best, table = grid_search(
-            grid, plan, cfg.policy, evaluate_point, refit, train_cost=train_cost
+        table = [
+            _grid_row(point, scores[task, point], COST_PER_RECORD[point.classifier.kind] * len(ds))
+            for point in grid
+        ]
+        try:
+            best = grid_search(table, cfg.policy)
+        except ValueError as exc:
+            raise ValueError(f"task {task!r}: {exc}") from exc
+        config = best.spec.feature_config
+        if str(config) not in full_fits:
+            nlp = standard_configs()[config - 1]
+            full_fits[str(config)] = _fit_features([docs[i] for i in all_ids], nlp)
+        _, matrix = full_fits[str(config)]
+        classifier = train_classifier(
+            best.spec.classifier, matrix, [labels[task][i] for i in all_ids], seed=cfg.seed
         )
-        slug = _task_slug(task)
+        slug = task.lower().replace(" ", "_")
         (out / f"grid_{slug}.csv").write_text(grid_table_csv(table), encoding="utf-8")
-        key = str(best.spec.feature_config)
-        if key not in feature_models:
-            feature_models[key] = feature_model.to_dict()
-        tasks[task] = {
-            "feature_config": best.spec.feature_config,
-            "classifier": classifier.to_dict(),
-        }
+        tasks[task] = {"feature_config": config, "classifier": classifier.to_dict()}
         selected[task] = {
-            "feature_config": best.spec.feature_config,
+            "feature_config": config,
             "classifier_spec": best.spec.classifier.to_dict(),
             "mean_scores": best.mean_scores,
             "n_folds": best.n_folds,
@@ -469,7 +453,7 @@ def _cmd_train(cfg: PipelineConfig) -> int:
         print(f"{task}: {best.spec.describe()} acc={best.mean_scores['accuracy']:.4f}")
     bundle = {
         "granularity": cfg.granularity,
-        "feature_models": feature_models,
+        "feature_models": {key: model.to_dict() for key, (model, _) in full_fits.items()},
         "tasks": tasks,
     }
     (models_dir / BUNDLE_FILE).write_text(
@@ -481,6 +465,55 @@ def _cmd_train(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _require_keys(obj, keys, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _check_bundle(bundle: dict, path) -> None:
+    """Reject a bundle that lacks a key train writes, naming the file,
+    the task and the key, before any of it is used."""
+    _require_keys(bundle, ("granularity", "feature_models", "tasks"), str(path))
+    _require_keys(bundle["tasks"], (), f"{path}, tasks")
+    for task, entry in bundle["tasks"].items():
+        where = f"{path}, task {task!r}"
+        _require_keys(entry, ("feature_config", "classifier"), where)
+        classifier = entry["classifier"]
+        _require_keys(classifier, _field_names(TrainedModel), f"{where}, classifier")
+        _require_keys(classifier["spec"], _field_names(ClassifierSpec), f"{where}, spec")
+        key = str(entry["feature_config"])
+        _require_keys(bundle["feature_models"], (key,), f"{where}, feature_models")
+        feature_model = bundle["feature_models"][key]
+        where = f"{where}, feature model {key}"
+        _require_keys(feature_model, _field_names(FeatureModel), where)
+        _require_keys(feature_model["config"], _field_names(NlpConfig), f"{where} config")
+
+
+def _selected_points(selected: dict, path, tasks) -> dict[str, GridPoint]:
+    """Each task's selected grid point, rejecting a selection that lacks
+    the task, its feature config, its classifier spec or the spec's kind
+    (the spec's other keys default), naming the file, the task and the key."""
+    points = {}
+    for task in tasks:
+        _require_keys(selected, (task,), str(path))
+        where = f"{path}, task {task!r}"
+        entry = selected[task]
+        _require_keys(entry, ("feature_config", "classifier_spec"), where)
+        _require_keys(entry["classifier_spec"], ("kind",), f"{where}, classifier_spec")
+        config = entry["feature_config"]
+        if config not in range(1, len(standard_configs()) + 1):
+            raise ValueError(f"{where}: feature_config {config!r} is not a standard config")
+        points[task] = GridPoint(config, ClassifierSpec.from_dict(entry["classifier_spec"]))
+    return points
+
+
 def _cmd_evaluate(cfg: PipelineConfig) -> int:
     out = Path(cfg.out)
     selected_path = Path(cfg.models) if cfg.models else out / "selected.json"
@@ -488,34 +521,23 @@ def _cmd_evaluate(cfg: PipelineConfig) -> int:
         selected_path = selected_path / "selected.json"
     if not selected_path.exists():
         raise ValueError(f"no selection at {selected_path}; run the train subcommand first")
-    selected = json.loads(selected_path.read_text(encoding="utf-8"))
+    selected = _read_json_object(selected_path)
     ds, docs, labels = _load_corpus(cfg)
     plan = _split_plan(cfg, ds.records)
-    cache = _FeatureCache(docs)
+    points = _selected_points(selected, selected_path, ds.tasks)
+    scores = _score_folds(
+        docs, labels, plan, {task: [point] for task, point in points.items()}, cfg.seed
+    )
     metrics = {}
     rows = []
-    for task in ds.tasks:
-        if task not in selected:
-            raise ValueError(f"selection file lacks task {task!r}")
-        point = GridPoint(
-            feature_config=int(selected[task]["feature_config"]),
-            classifier=ClassifierSpec.from_dict(selected[task]["classifier_spec"]),
-        )
-        evaluate_point = _make_task_evaluator(cfg, cache, labels[task])
-        fold_reports = [
-            evaluate_point(point, fold) for fold in plan.tuples if fold.val_ids
-        ]
-        if fold_reports:
-            mean = mean_report_scores(fold_reports)
-            metrics[task] = {
-                "config": point.describe(),
-                "folds": [r.to_dict() for r in fold_reports],
-                "mean": mean,
-            }
-            rows.append((task, mean))
-        else:
-            metrics[task] = {"config": point.describe(), "folds": [], "mean": None}
-            rows.append((task, None))
+    for task, point in points.items():
+        reports = scores[task, point]
+        if isinstance(reports, str):
+            raise ValueError(f"task {task!r}: {point.describe()} failed: {reports}")
+        mean = mean_report_scores(reports)
+        folds = [r.to_dict() for r in reports]
+        metrics[task] = {"config": point.describe(), "folds": folds, "mean": mean}
+        rows.append((task, mean))
     (out / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -537,9 +559,10 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
     if not bundle_path.exists():
         raise ValueError(f"no model bundle in {models_dir}; run the train subcommand first")
     bundle = _read_json_object(bundle_path)
-    if bundle.get("granularity") != "report":
+    _check_bundle(bundle, bundle_path)
+    if bundle["granularity"] != "report":
         raise ValueError(
-            f"{bundle_path} was trained on granularity {bundle.get('granularity')!r};"
+            f"{bundle_path} was trained on granularity {bundle['granularity']!r};"
             " assess labels report descriptions"
         )
     tokens = preprocess_text(description)
@@ -549,8 +572,6 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
         key = str(entry["feature_config"])
         try:
             if key not in rows:
-                if key not in bundle["feature_models"]:
-                    raise ValueError(f"no feature model for config {key}")
                 feature_model = FeatureModel.from_dict(bundle["feature_models"][key])
                 rows[key] = transform(feature_model, tokens)
             classifier = TrainedModel.from_dict(entry["classifier"])

@@ -1,4 +1,4 @@
-"""Time-aware data splitting, multi-class metrics, and grid search with
+"""Time-aware data splitting, multi-class metrics, and grid ranking with
 explicit model-selection policies.
 
 Split protocols: per-year expanding-window validation, twelve
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -291,63 +291,26 @@ def _policy_key(policy: str, result: GridResult, position: int):
     return (-s["mcc"], simplicity, result.train_cost, position)
 
 
-def grid_search(
-    grid: Sequence,
-    plan: SplitPlan,
-    policy: str,
-    evaluate: Callable[[object, SplitTuple], MetricReport],
-    refit: Callable[[object], object],
-    train_cost: Callable[[object], float] | None = None,
-):
-    """Score every config over the plan's folds, rank by policy, refit
-    the winner.
+def grid_search(table: Sequence[GridResult], policy: str) -> GridResult:
+    """The best viable row of a scored grid table under a policy.
 
-    `evaluate(spec, fold)` trains on the fold's training ids and scores
-    its validation ids; `refit(spec)` produces the final model.  A config
-    whose evaluation raises `ValueError` - the data conditions a grid
-    point can meet, such as a single-class fold, k above the sample
-    count or an empty sample - is recorded as failed and skipped by the
-    ranking; if every config fails the search itself fails.  Any other
-    exception is a bug and propagates.  Ranking
-    `ch3` orders by accuracy then macro F1, breaking ties by weighted F1,
-    then fewer tuned hyperparameters, then lower (deterministic) training
-    cost; `mcc` ranks by mean correlation with the same final
-    tie-breaks.
+    Failed rows - a grid point that met a data condition on some fold -
+    are skipped; if every row failed the ranking raises `ValueError`
+    with the first error.  `ch3` orders by accuracy then macro F1,
+    breaking ties by weighted F1, then fewer tuned hyperparameters, then
+    lower (deterministic) training cost, then table position; `mcc`
+    ranks by mean correlation with the same final tie-breaks.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if not grid:
+    if not table:
         raise ValueError("empty grid")
-    table: list[GridResult] = []
-    for spec in grid:
-        cost = float(train_cost(spec)) if train_cost else 0.0
-        try:
-            reports = [evaluate(spec, fold) for fold in plan.tuples]
-            table.append(
-                GridResult(
-                    spec=spec,
-                    mean_scores=mean_report_scores(reports),
-                    n_folds=len(reports),
-                    train_cost=cost,
-                )
-            )
-        except ValueError as exc:  # a data condition should not sink the search
-            table.append(
-                GridResult(
-                    spec=spec,
-                    mean_scores=None,
-                    n_folds=0,
-                    train_cost=cost,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
     viable = [(i, r) for i, r in enumerate(table) if not r.failed]
     if not viable:
-        raise RuntimeError(
+        raise ValueError(
             "every grid configuration failed; first error: " + table[0].error
         )
-    best = min(viable, key=lambda ir: _policy_key(policy, ir[1], ir[0]))[1]
-    return refit(best.spec), best, table
+    return min(viable, key=lambda ir: _policy_key(policy, ir[1], ir[0]))[1]
 
 
 def grid_table_csv(table: Sequence[GridResult]) -> str:

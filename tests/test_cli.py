@@ -1,11 +1,17 @@
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svassess import cli
 from svassess.corpus import CVSS_TASKS
@@ -218,6 +224,71 @@ def test_train_programming_error_exits_two(tmp_path, small_reports, monkeypatch,
     assert "TypeError: bad argument" in capsys.readouterr().err
 
 
+def _constant_label_reports(small_reports, tmp_path, task):
+    path = tmp_path / "constant.jsonl"
+    lines = []
+    for line in small_reports.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj["labels"][task] = "Low"
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_train_grid_with_every_point_failed_exits_one(tmp_path, small_reports, capsys):
+    # one class in the whole dataset: a data condition, not a bug
+    dataset = _constant_label_reports(small_reports, tmp_path, "Severity")
+    config = write_config(tmp_path, dataset, tmp_path / "out")
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "'Severity'" in err and "every grid configuration failed" in err
+    assert "training needs at least two distinct classes" in err
+
+
+def test_failed_grid_points_are_logged_once(tmp_path, small_reports, caplog, capsys):
+    out = tmp_path / "out"
+    # the first fold trains on 20 records, so kNN with k above 20 fails
+    config = write_config(tmp_path, small_reports, out, classifiers=["naive_bayes", "knn"])
+    with caplog.at_level(logging.WARNING, logger="svassess"):
+        assert cli.main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    logged = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    expected = []
+    for task in CVSS_TASKS:
+        slug = task.lower().replace(" ", "_")
+        for row in (out / f"grid_{slug}.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            point, *_, error = row.rsplit(",", 8)  # the point's name holds commas
+            if error:
+                expected.append((task, point, error))
+    assert expected and len(logged) == len(expected)
+    for task, point, error in expected:
+        matches = [m for m in logged if f"task {task!r}, {point} failed" in m]
+        assert len(matches) == 1, (task, point)
+        assert error in matches[0].replace(",", ";")
+
+
+def test_fit_features_once_per_config_and_fold(tmp_path, small_reports, monkeypatch, capsys):
+    calls = []
+    fit_features = cli._fit_features
+
+    def counted(docs, nlp_config):
+        calls.append(nlp_config)
+        return fit_features(docs, nlp_config)
+
+    monkeypatch.setattr(cli, "_fit_features", counted)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, small_reports, out, feature_configs=[1, 2])
+    assert cli.main(["train", "--config", str(config)]) == 0
+    selected = json.loads((out / "selected.json").read_text(encoding="utf-8"))
+    winners = {choice["feature_config"] for choice in selected.values()}
+    # 2 configs x 2 folds, then one full fit per distinct winning config
+    assert len(calls) == 2 * 2 + len(winners)
+    calls.clear()
+    assert cli.main(["evaluate", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(winners) * 2
+
+
 def test_grid_csv_lists_every_point(trained):
     _, out = trained
     text = (out / "grid_severity.csv").read_text(encoding="utf-8")
@@ -363,6 +434,123 @@ def test_assess_transforms_once_per_feature_config(trained, tmp_path, monkeypatc
     assert code == 0
     assert len(calls) == 3
     assert (run / "assessment.json").read_bytes() == (ref_run / "assessment.json").read_bytes()
+
+
+def _key_paths(obj, prefix=()):
+    """Every path of dict keys in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _delete(path):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("granularity",),
+        ("feature_models",),
+        ("tasks",),
+        ("tasks", "Severity", "feature_config"),
+        ("tasks", "Severity", "classifier"),
+        ("tasks", "Severity", "classifier", "kind"),
+        ("tasks", "Severity", "classifier", "spec", "kind"),
+        ("feature_models", "1"),
+        ("feature_models", "1", "word_vocab"),
+        ("feature_models", "1", "config", "weighting"),
+    ],
+)
+def test_assess_rejects_bundle_missing_key(trained, tmp_path, capsys, path):
+    code, _ = _assess_with_bundle(trained, tmp_path, _delete(path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bundle.json" in err and f"missing key {path[-1]!r}" in err
+    if path[0] == "tasks" and len(path) > 2:
+        assert "'Severity'" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_bundle_missing_any_key_never_exits_two(trained, data):
+    _, out = trained
+    bundle = json.loads((out / "models" / "bundle.json").read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(sorted(_key_paths(bundle))))
+    # a task may be left out of a bundle; every other key train writes is required
+    required = not (path[0] == "tasks" and len(path) == 2)
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+        code, _ = _assess_with_bundle(trained, Path(tmp), _delete(path))
+    assert code in (0, 1)
+    if required:
+        assert code == 1 and f"missing key {path[-1]!r}" in err.getvalue()
+
+
+def _evaluate_with_selection(trained, tmp_path, edit):
+    """Run evaluate against an edited copy of the trained selection."""
+    config, out = trained
+    selected = json.loads((out / "selected.json").read_text(encoding="utf-8"))
+    edit(selected)
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "selected.json").write_text(json.dumps(selected), encoding="utf-8")
+    patched = json.loads(Path(config).read_text(encoding="utf-8"))
+    patched.update(models=str(models), out=str(tmp_path / "out"))
+    config2 = tmp_path / "evaluate.json"
+    config2.write_text(json.dumps(patched), encoding="utf-8")
+    return cli.main(["evaluate", "--config", str(config2)])
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("Severity",),
+        ("Severity", "feature_config"),
+        ("Severity", "classifier_spec"),
+        ("Severity", "classifier_spec", "kind"),
+    ],
+)
+def test_evaluate_rejects_selection_missing_key(trained, tmp_path, capsys, path):
+    assert _evaluate_with_selection(trained, tmp_path, _delete(path)) == 1
+    err = capsys.readouterr().err
+    assert "selected.json" in err and f"missing key {path[-1]!r}" in err
+    if len(path) > 1:
+        assert "'Severity'" in err
+
+
+@pytest.mark.parametrize("config", [0, 9, "1"])
+def test_evaluate_rejects_selection_of_unknown_feature_config(trained, tmp_path, capsys, config):
+    def edit(selected):
+        selected["Severity"]["feature_config"] = config
+
+    assert _evaluate_with_selection(trained, tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert "'Severity'" in err and f"feature_config {config!r}" in err
+
+
+def test_evaluate_accepts_selection_spec_with_default_keys(trained, tmp_path, capsys):
+    def edit(selected):
+        for choice in selected.values():
+            choice["classifier_spec"] = {"kind": "naive_bayes"}
+
+    assert _evaluate_with_selection(trained, tmp_path, edit) == 0
+    capsys.readouterr()
+
+
+def test_evaluate_failed_point_exits_one_naming_the_task(trained, tmp_path, capsys):
+    def edit(selected):
+        # k above the first fold's 20 training records
+        selected["Severity"]["classifier_spec"].update(kind="knn", knn_k=51)
+
+    assert _evaluate_with_selection(trained, tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert "'Severity'" in err and "knn k=51 exceeds" in err
 
 
 def test_byte_identical_rerun(small_reports, tmp_path, capsys):
@@ -536,24 +724,6 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert payload["passed"] is True
     assert all(v < 1e-4 for v in payload["max_relative_error"].values())
     assert "gradcheck PASSED" in capsys.readouterr().out
-
-
-# -- report rendering --------------------------------------------------------
-
-
-def test_emit_report_marks_missing_scores():
-    scores = {"accuracy": 1.0, "macro_f1": 0.5, "weighted_f1": 0.75, "mcc": 0.25}
-    text = cli.emit_report([("alpha", scores), ("beta", None)])
-    lines = text.splitlines()
-    assert len(lines) == 4
-    assert lines[2].split() == ["beta", "n/a", "n/a", "n/a", "n/a"]
-    # average covers only the scored row
-    assert lines[3].split() == ["average", "1.0000", "0.5000", "0.7500", "0.2500"]
-
-
-def test_emit_report_all_missing_has_no_average():
-    text = cli.emit_report([("alpha", None)])
-    assert "average" not in text
 
 
 # -- console entry point -----------------------------------------------------

@@ -235,133 +235,70 @@ def report_with(accuracy, macro=0.5, weighted=0.5, mcc=0.0):
     )
 
 
-def one_fold_plan():
-    return SplitPlan(
-        protocol="time_kfold",
-        tuples=[SplitTuple(train_ids=("t1",), val_ids=("v1",))],
+def scored(spec, report=None, cost=0.0, error=None):
+    """A grid-table row: one fold scored as `report`, or failed with `error`."""
+    if error is not None:
+        return GridResult(spec=spec, mean_scores=None, n_folds=0, train_cost=cost, error=error)
+    return GridResult(
+        spec=spec, mean_scores=mean_report_scores([report]), n_folds=1, train_cost=cost
     )
 
 
 def test_grid_search_single_config_trivial():
     spec = FakeSpec("only")
-    model, best, table = grid_search(
-        [spec],
-        one_fold_plan(),
-        "ch3",
-        evaluate=lambda s, f: report_with(0.9),
-        refit=lambda s: ("fitted", s.name),
-    )
-    assert model == ("fitted", "only")
+    table = [scored(spec, report_with(0.9))]
+    best = grid_search(table, "ch3")
     assert best.spec is spec and len(table) == 1
 
 
 def test_grid_search_weighted_f1_breaks_primary_tie():
-    scores = {
-        "low": report_with(0.8, macro=0.7, weighted=0.60),
-        "high": report_with(0.8, macro=0.7, weighted=0.65),
-    }
-    model, best, _ = grid_search(
-        [FakeSpec("low"), FakeSpec("high")],
-        one_fold_plan(),
-        "ch3",
-        evaluate=lambda s, f: scores[s.name],
-        refit=lambda s: s.name,
-    )
-    assert model == "high"
+    table = [
+        scored(FakeSpec("low"), report_with(0.8, macro=0.7, weighted=0.60)),
+        scored(FakeSpec("high"), report_with(0.8, macro=0.7, weighted=0.65)),
+    ]
+    assert grid_search(table, "ch3").spec.name == "high"
 
 
 def test_grid_search_simplicity_breaks_full_tie():
-    model, _, _ = grid_search(
-        [FakeSpec("complex", 3), FakeSpec("simple", 0)],
-        one_fold_plan(),
-        "ch3",
-        evaluate=lambda s, f: report_with(0.8),
-        refit=lambda s: s.name,
-    )
-    assert model == "simple"
+    table = [
+        scored(FakeSpec("complex", 3), report_with(0.8)),
+        scored(FakeSpec("simple", 0), report_with(0.8)),
+    ]
+    assert grid_search(table, "ch3").spec.name == "simple"
 
 
 def test_grid_search_cost_then_position_break_remaining_ties():
-    costs = {"slow": 100.0, "fast": 1.0}
-    model, _, _ = grid_search(
-        [FakeSpec("slow"), FakeSpec("fast")],
-        one_fold_plan(),
-        "ch3",
-        evaluate=lambda s, f: report_with(0.8),
-        refit=lambda s: s.name,
-        train_cost=lambda s: costs[s.name],
-    )
-    assert model == "fast"
-    model, _, _ = grid_search(
-        [FakeSpec("first"), FakeSpec("second")],
-        one_fold_plan(),
-        "ch3",
-        evaluate=lambda s, f: report_with(0.8),
-        refit=lambda s: s.name,
-    )
-    assert model == "first"
+    table = [
+        scored(FakeSpec("slow"), report_with(0.8), cost=100.0),
+        scored(FakeSpec("fast"), report_with(0.8), cost=1.0),
+    ]
+    assert grid_search(table, "ch3").spec.name == "fast"
+    table = [
+        scored(FakeSpec("first"), report_with(0.8)),
+        scored(FakeSpec("second"), report_with(0.8)),
+    ]
+    assert grid_search(table, "ch3").spec.name == "first"
 
 
 def test_grid_search_mcc_policy():
-    scores = {
-        "weak": report_with(0.9, mcc=0.1),
-        "strong": report_with(0.5, mcc=0.6),
-    }
-    model, _, _ = grid_search(
-        [FakeSpec("weak"), FakeSpec("strong")],
-        one_fold_plan(),
-        "mcc",
-        evaluate=lambda s, f: scores[s.name],
-        refit=lambda s: s.name,
-    )
-    assert model == "strong"
+    table = [
+        scored(FakeSpec("weak"), report_with(0.9, mcc=0.1)),
+        scored(FakeSpec("strong"), report_with(0.5, mcc=0.6)),
+    ]
+    assert grid_search(table, "mcc").spec.name == "strong"
 
 
 def test_grid_search_skips_failures_and_errors_when_all_fail():
-    def evaluate(s, f):
-        if s.name == "bad":
-            raise ValueError("boom")
-        return report_with(0.7)
-
-    model, _, table = grid_search(
-        [FakeSpec("bad"), FakeSpec("good")],
-        one_fold_plan(),
-        "ch3",
-        evaluate=evaluate,
-        refit=lambda s: s.name,
-    )
-    assert model == "good"
+    bad = scored(FakeSpec("bad"), error="ValueError: boom")
+    table = [bad, scored(FakeSpec("good"), report_with(0.7))]
+    assert grid_search(table, "ch3").spec.name == "good"
     assert table[0].failed and "boom" in table[0].error
-    with pytest.raises(RuntimeError, match="every grid configuration failed"):
-        grid_search(
-            [FakeSpec("bad")],
-            one_fold_plan(),
-            "ch3",
-            evaluate=evaluate,
-            refit=lambda s: s.name,
-        )
+    with pytest.raises(ValueError, match="every grid configuration failed.*boom"):
+        grid_search([bad], "ch3")
     with pytest.raises(ValueError):
-        grid_search([], one_fold_plan(), "ch3", evaluate=evaluate, refit=lambda s: s)
+        grid_search([], "ch3")
     with pytest.raises(ValueError):
-        grid_search(
-            [FakeSpec("x")], one_fold_plan(), "best", evaluate=evaluate, refit=lambda s: s
-        )
-
-
-def test_grid_search_lets_programming_errors_escape():
-    def evaluate(s, f):
-        if s.name == "bad":
-            raise TypeError("boom")
-        return report_with(0.7)
-
-    with pytest.raises(TypeError, match="boom"):
-        grid_search(
-            [FakeSpec("good"), FakeSpec("bad")],
-            one_fold_plan(),
-            "ch3",
-            evaluate=evaluate,
-            refit=lambda s: s.name,
-        )
+        grid_search([scored(FakeSpec("x"), report_with(0.7))], "best")
 
 
 def test_grid_table_csv_is_stable():
