@@ -19,14 +19,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .corpus import load_dataset
+from .corpus import SchemaError, check_value, from_fields, load_dataset, require_keys
 from .drift import drift_report
 from .evaluation import (
     POLICIES,
@@ -40,7 +40,7 @@ from .evaluation import (
     time_kfold_splits,
 )
 from .features import (
-    FeatureModel, NlpConfig, aggregate_char_word, build_char_vocab, build_word_vocab,
+    FeatureModel, aggregate_char_word, build_char_vocab, build_word_vocab,
     standard_configs, transform, transform_many,
 )
 from .models import (
@@ -165,44 +165,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-_FLAG_KEYS = (
-    "dataset",
-    "seed",
-    "out",
-    "granularity",
-    "mode",
-    "protocol",
-    "policy",
-)
-
-
 def _read_json_object(path) -> dict:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path} must hold a JSON object")
+    require_keys(obj, (), str(path))
     return obj
 
 
 def effective_config(ns: argparse.Namespace) -> PipelineConfig:
     """JSON config file first, command-line flags on top."""
-    raw: dict = {}
-    if ns.config:
-        path = Path(ns.config)
-        if not path.exists():
-            raise ValueError(f"config file does not exist: {path}")
-        raw = _read_json_object(path)
-    for key in _FLAG_KEYS:
-        value = getattr(ns, key)
-        if value is not None:
-            raw[key] = value
-    known = set(PipelineConfig.__dataclass_fields__) - {"command"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for tuple_key in ("feature_configs", "classifiers"):
-        if tuple_key in raw:
-            raw[tuple_key] = tuple(raw[tuple_key])
-    return PipelineConfig(command=ns.command, **raw)
+    where = ns.config or "command line"
+    raw = _read_json_object(ns.config) if ns.config else {}
+    if "command" in raw:  # the subcommand comes from the command line only
+        raise SchemaError(f"{where}: unknown config keys ['command']")
+    # the flags given, the subcommand among them, override the file
+    flags = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
+    return from_fields(PipelineConfig, {**raw, **flags}, where, partial=True)
 
 
 def write_manifest(cfg: PipelineConfig) -> None:
@@ -465,52 +442,24 @@ def _cmd_train(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _require_keys(obj, keys, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where}: missing key {key!r}")
-
-
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _check_bundle(bundle: dict, path) -> None:
-    """Reject a bundle that lacks a key train writes, naming the file,
-    the task and the key, before any of it is used."""
-    _require_keys(bundle, ("granularity", "feature_models", "tasks"), str(path))
-    _require_keys(bundle["tasks"], (), f"{path}, tasks")
-    for task, entry in bundle["tasks"].items():
-        where = f"{path}, task {task!r}"
-        _require_keys(entry, ("feature_config", "classifier"), where)
-        classifier = entry["classifier"]
-        _require_keys(classifier, _field_names(TrainedModel), f"{where}, classifier")
-        _require_keys(classifier["spec"], _field_names(ClassifierSpec), f"{where}, spec")
-        key = str(entry["feature_config"])
-        _require_keys(bundle["feature_models"], (key,), f"{where}, feature_models")
-        feature_model = bundle["feature_models"][key]
-        where = f"{where}, feature model {key}"
-        _require_keys(feature_model, _field_names(FeatureModel), where)
-        _require_keys(feature_model["config"], _field_names(NlpConfig), f"{where} config")
-
-
 def _selected_points(selected: dict, path, tasks) -> dict[str, GridPoint]:
     """Each task's selected grid point, rejecting a selection that lacks
-    the task, its feature config, its classifier spec or the spec's kind
-    (the spec's other keys default), naming the file, the task and the key."""
+    the task, its feature config or its classifier spec, or whose spec
+    does not load (its defaulted keys may be left out), naming the file,
+    the task and the key."""
     points = {}
     for task in tasks:
-        _require_keys(selected, (task,), str(path))
+        require_keys(selected, (task,), str(path))
         where = f"{path}, task {task!r}"
         entry = selected[task]
-        _require_keys(entry, ("feature_config", "classifier_spec"), where)
-        _require_keys(entry["classifier_spec"], ("kind",), f"{where}, classifier_spec")
+        require_keys(entry, ("feature_config", "classifier_spec"), where)
         config = entry["feature_config"]
-        if config not in range(1, len(standard_configs()) + 1):
+        if type(config) is not int or config not in range(1, len(standard_configs()) + 1):
             raise ValueError(f"{where}: feature_config {config!r} is not a standard config")
-        points[task] = GridPoint(config, ClassifierSpec.from_dict(entry["classifier_spec"]))
+        spec = from_fields(
+            ClassifierSpec, entry["classifier_spec"], f"{where}, classifier_spec", partial=True
+        )
+        points[task] = GridPoint(config, spec)
     return points
 
 
@@ -559,25 +508,30 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
     if not bundle_path.exists():
         raise ValueError(f"no model bundle in {models_dir}; run the train subcommand first")
     bundle = _read_json_object(bundle_path)
-    _check_bundle(bundle, bundle_path)
+    require_keys(bundle, ("granularity", "feature_models", "tasks"), str(bundle_path))
     if bundle["granularity"] != "report":
         raise ValueError(
             f"{bundle_path} was trained on granularity {bundle['granularity']!r};"
             " assess labels report descriptions"
         )
+    require_keys(bundle["tasks"], (), f"{bundle_path}, tasks")
+    feature_models = bundle["feature_models"]
     tokens = preprocess_text(description)
     rows = {}  # one transform per distinct feature config
     assessment = {}
     for task, entry in bundle["tasks"].items():
-        key = str(entry["feature_config"])
+        where = f"{bundle_path}, task {task!r}"
+        require_keys(entry, ("feature_config", "classifier"), where)
         try:
+            key = str(check_value(entry["feature_config"], int, "key 'feature_config'"))
             if key not in rows:
-                feature_model = FeatureModel.from_dict(bundle["feature_models"][key])
-                rows[key] = transform(feature_model, tokens)
-            classifier = TrainedModel.from_dict(entry["classifier"])
+                require_keys(feature_models, (key,), "feature_models")
+                model = FeatureModel.from_dict(feature_models[key], f"feature model {key}")
+                rows[key] = transform(model, tokens)
+            classifier = TrainedModel.from_dict(entry["classifier"], "classifier")
             predicted, _ = predict(classifier, rows[key])
         except ValueError as exc:
-            raise ValueError(f"{bundle_path}, task {task!r}: {exc}") from exc
+            raise ValueError(f"{where}: {exc}") from exc
         assessment[task] = predicted[0]
     payload = {"id": obj.get("id"), "labels": assessment}
     (Path(cfg.out) / "assessment.json").write_text(

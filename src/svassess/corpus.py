@@ -8,9 +8,15 @@ strings and parsed on load.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+import reprlib
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+
+import numpy as np
 
 CVSS_TASKS = (
     "Confidentiality",
@@ -27,7 +33,7 @@ QA_LABELS = ("positive", "unlabeled")
 
 
 class SchemaError(ValueError):
-    """A JSONL record that does not satisfy its kind's schema."""
+    """A JSONL record or JSON object that does not satisfy its schema."""
 
 
 class DiffParseError(ValueError):
@@ -163,11 +169,6 @@ def parse_unified_diff(text: str) -> list[FileChange]:
     pre_path: str | None = None
     i = 0
     n = len(lines)
-
-    def flush_file(path: str) -> list[Hunk]:
-        files.append(FileChange(path=path, hunks=()))
-        return []
-
     current_hunks: list[Hunk] | None = None
     current_path = ""
 
@@ -276,22 +277,105 @@ def apply_hunks(pre_text: str, hunks: tuple[Hunk, ...]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Checked loading of JSON objects into dataclasses.
+# ---------------------------------------------------------------------------
+
+# the Python types json.loads yields that a declared scalar type accepts: an
+# int passes as a float unchanged, and a bool never passes as a number
+_SCALAR_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool}}
+
+
+def require_keys(obj, keys, where: str) -> None:
+    """Reject `obj` unless it is a JSON object holding every key of `keys`."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing key {key!r}")
+
+
+def check_value(value, hint, where: str):
+    """`value`, parsed from JSON, as the declared type `hint`.
+
+    Understands scalars, `X | None`, `tuple[X, ...]` and fixed tuples
+    (from lists), dataclasses (through `from_fields`), and `np.ndarray`: a
+    float array from a list of numbers or of equal-length lists of
+    numbers.  Raises `SchemaError` naming `where` for anything else.
+    """
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = set(hint.__args__) - {type(None)}
+    if hint in _SCALAR_TYPES:
+        if type(value) in _SCALAR_TYPES[hint]:
+            return value
+    elif is_dataclass(hint):
+        return from_fields(hint, value, where)
+    elif hint is np.ndarray and isinstance(value, list):
+        # numpy would read a bool as 0 or 1, so every element's type is checked
+        rows = value if value and type(value[0]) is list else [value]
+        numbers = _SCALAR_TYPES[float]
+        if all(type(row) is list and numbers.issuperset(map(type, row)) for row in rows):
+            try:
+                return np.array(value, dtype=float)
+            except ValueError:  # rows of unequal length
+                pass
+    elif typing.get_origin(hint) is tuple and isinstance(value, list):
+        args = typing.get_args(hint)
+        if args[-1] is not Ellipsis:
+            if len(value) == len(args):
+                return tuple(check_value(v, arg, where) for v, arg in zip(value, args))
+        elif args[0] not in _SCALAR_TYPES:
+            return tuple(check_value(v, args[0], where) for v in value)
+        elif set(map(type, value)) <= _SCALAR_TYPES[args[0]]:  # one pass
+            return tuple(value)
+    name = hint.__name__ if isinstance(hint, type) else hint
+    raise SchemaError(f"{where}: expected {name}, got {reprlib.repr(value)}")
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, tuple[str, ...], str]:
+    """A dataclass's declared type per field, its fields without a
+    default, and the noun naming it in messages: its name's last word."""
+    hints = typing.get_type_hints(cls)
+    declared = fields(cls)
+    required = tuple(
+        f.name for f in declared if f.default is MISSING and f.default_factory is MISSING
+    )
+    noun = re.findall("[A-Z][a-z]*", cls.__name__)[-1].lower()
+    return {f.name: hints[f.name] for f in declared}, required, noun
+
+
+def from_fields(cls, obj, where: str, partial: bool = False):
+    """An instance of the dataclass `cls` from a parsed JSON object.
+
+    Every field must be present (with `partial`, every field without a
+    default), every key must name a field, and every value must fit its
+    field's declared type (see `check_value`).  Raises `SchemaError`
+    naming `where` and the key, or `where` and a value `cls` rejects.
+    """
+    hints, required, noun = _schema(cls)
+    require_keys(obj, required if partial else hints, where)
+    unknown = obj.keys() - hints.keys()
+    if unknown:
+        raise SchemaError(f"{where}: unknown {noun} keys {sorted(unknown)}")
+    values = {k: check_value(v, hints[k], f"{where}, key {k!r}") for k, v in obj.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # JSONL load / serialize / validate.
 # ---------------------------------------------------------------------------
 
 def _parse_date(raw, where: str) -> datetime.date:
-    if not isinstance(raw, str):
-        raise SchemaError(f"{where}: field 'date' must be an ISO date string")
+    raw = check_value(raw, str, f"{where}, field 'date'")
     try:
         return datetime.date.fromisoformat(raw)
     except ValueError as exc:
         raise SchemaError(f"{where}: bad date {raw!r}") from exc
-
-
-def _require(obj: dict, fields: tuple[str, ...], where: str) -> None:
-    for name in fields:
-        if name not in obj:
-            raise SchemaError(f"{where}: missing field {name!r}")
 
 
 def _parse_labels(raw, where: str) -> dict[str, str]:
@@ -307,7 +391,7 @@ def _parse_labels(raw, where: str) -> dict[str, str]:
 
 def _record_from_json(obj: dict, kind: str, where: str):
     if kind == "report":
-        _require(obj, ("id", "description", "date", "labels"), where)
+        require_keys(obj, ("id", "description", "date", "labels"), where)
         if not isinstance(obj["description"], str) or not obj["description"].strip():
             raise SchemaError(f"{where}: field 'description' must be non-empty text")
         return SvReport(
@@ -317,32 +401,25 @@ def _record_from_json(obj: dict, kind: str, where: str):
             labels=_parse_labels(obj["labels"], where),
         )
     if kind == "function":
-        _require(obj, ("id", "lines", "vuln_idx", "date", "labels"), where)
-        lines = obj["lines"]
-        if not isinstance(lines, list) or not all(isinstance(x, str) for x in lines):
-            raise SchemaError(f"{where}: field 'lines' must be a list of strings")
-        vuln = obj["vuln_idx"]
-        if not isinstance(vuln, list) or not vuln or not all(
-            isinstance(x, int) and 0 <= x < len(lines) for x in vuln
-        ):
-            raise SchemaError(
-                f"{where}: field 'vuln_idx' must be non-empty in-bounds indices"
-            )
+        require_keys(obj, ("id", "lines", "vuln_idx", "date", "labels"), where)
+        lines = check_value(obj["lines"], tuple[str, ...], f"{where}, field 'lines'")
+        vuln = check_value(obj["vuln_idx"], tuple[int, ...], f"{where}, field 'vuln_idx'")
+        if not vuln or not all(0 <= x < len(lines) for x in vuln):
+            raise SchemaError(f"{where}: field 'vuln_idx' must be non-empty in-bounds indices")
         if len(set(vuln)) >= len(lines):
             raise SchemaError(f"{where}: record has no non-vulnerable line")
         return FunctionRecord(
             id=str(obj["id"]),
-            lines=tuple(lines),
+            lines=lines,
             vulnerable_line_indices=frozenset(vuln),
             date=_parse_date(obj["date"], where),
             labels=_parse_labels(obj["labels"], where),
         )
     if kind == "commit":
-        _require(obj, ("id", "project", "date", "diff", "labels"), where)
-        if not isinstance(obj["diff"], str):
-            raise SchemaError(f"{where}: field 'diff' must be a string")
+        require_keys(obj, ("id", "project", "date", "diff", "labels"), where)
+        diff = check_value(obj["diff"], str, f"{where}, field 'diff'")
         try:
-            changes = parse_unified_diff(obj["diff"])
+            changes = parse_unified_diff(diff)
         except DiffParseError as exc:
             raise SchemaError(f"{where}: field 'diff': {exc}") from exc
         if not changes:
@@ -353,17 +430,15 @@ def _record_from_json(obj: dict, kind: str, where: str):
             date=_parse_date(obj["date"], where),
             files=tuple(changes),
             labels=_parse_labels(obj["labels"], where),
-            diff_text=obj["diff"],
+            diff_text=diff,
         )
     if kind == "post":
-        _require(obj, ("id", "site", "title", "body", "answers", "tags", "label"), where)
+        require_keys(obj, ("id", "site", "title", "body", "answers", "tags", "label"), where)
         if obj["site"] not in QA_SITES:
             raise SchemaError(f"{where}: field 'site' must be one of {QA_SITES}")
         if obj["label"] not in QA_LABELS:
             raise SchemaError(f"{where}: field 'label' must be one of {QA_LABELS}")
-        tags = obj["tags"]
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise SchemaError(f"{where}: field 'tags' must be a list of strings")
+        tags = check_value(obj["tags"], tuple[str, ...], f"{where}, field 'tags'")
         return QaPost(
             id=str(obj["id"]),
             site=obj["site"],
@@ -395,8 +470,6 @@ def load_dataset(path, kind: str) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"{where}: not a JSON object")
             record = _record_from_json(obj, kind, where)
             if record.id in seen_ids:
                 raise SchemaError(f"{where}: duplicate id {record.id!r}")

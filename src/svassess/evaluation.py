@@ -265,7 +265,7 @@ def mean_report_scores(reports: Sequence[MetricReport]) -> dict[str, float]:
 
 @dataclass
 class GridResult:
-    spec: object
+    spec: object  # has describe() and n_hyperparameters
     mean_scores: dict[str, float] | None
     n_folds: int
     train_cost: float
@@ -278,7 +278,7 @@ class GridResult:
 
 def _policy_key(policy: str, result: GridResult, position: int):
     s = result.mean_scores
-    simplicity = getattr(result.spec, "n_hyperparameters", 0)
+    simplicity = result.spec.n_hyperparameters
     if policy == "ch3":
         return (
             -s["accuracy"],
@@ -319,7 +319,7 @@ def grid_table_csv(table: Sequence[GridResult]) -> str:
         "config,n_folds,accuracy,macro_f1,weighted_f1,mcc,hyperparameters,train_cost,error"
     ]
     for r in table:
-        desc = r.spec.describe() if hasattr(r.spec, "describe") else str(r.spec)
+        desc = r.spec.describe()
         if r.failed:
             scores = ",,,"
         else:
@@ -328,7 +328,7 @@ def grid_table_csv(table: Sequence[GridResult]) -> str:
                 f"{s['accuracy']:.6f},{s['macro_f1']:.6f},"
                 f"{s['weighted_f1']:.6f},{s['mcc']:.6f}"
             )
-        simplicity = getattr(r.spec, "n_hyperparameters", 0)
+        simplicity = r.spec.n_hyperparameters
         err = (r.error or "").replace(",", ";")
         lines.append(
             f"{desc},{r.n_folds},{scores},{simplicity},{r.train_cost:.0f},{err}"

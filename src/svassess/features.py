@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy import sparse
 
+from .corpus import check_value, from_fields, require_keys
+
 
 @dataclass(frozen=True)
 class NlpConfig:
@@ -49,10 +51,6 @@ class NlpConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "NlpConfig":
-        return cls(**obj)
 
 
 def standard_configs() -> tuple[NlpConfig, ...]:
@@ -190,24 +188,23 @@ class FeatureModel:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "FeatureModel":
-        """Rebuild a model, rejecting an idf that does not fit its
-        columns or its weighting."""
-        word = Vocabulary(
-            index={t: i for i, t in enumerate(obj["word_vocab"])}, df={}, kind="word"
-        )
-        char = Vocabulary(
-            index={t: i for i, t in enumerate(obj["char_vocab"])}, df={}, kind="char"
-        )
-        config = NlpConfig.from_dict(obj["config"])
-        idf = None if obj["idf"] is None else np.array(obj["idf"], dtype=float)
+    def from_dict(cls, obj: dict, where: str = "feature model") -> "FeatureModel":
+        """Rebuild a model, rejecting a missing key, a value of the wrong
+        type, and an idf that does not fit its columns or its weighting."""
+        require_keys(obj, ("config", "word_vocab", "char_vocab", "idf"), where)
+        config = from_fields(NlpConfig, obj["config"], f"{where}, key 'config'")
+        word_terms = check_value(obj["word_vocab"], tuple[str, ...], f"{where}, key 'word_vocab'")
+        char_terms = check_value(obj["char_vocab"], tuple[str, ...], f"{where}, key 'char_vocab'")
+        word = Vocabulary(index={t: i for i, t in enumerate(word_terms)}, df={}, kind="word")
+        char = Vocabulary(index={t: i for i, t in enumerate(char_terms)}, df={}, kind="char")
+        idf = check_value(obj["idf"], np.ndarray | None, f"{where}, key 'idf'")
         if (idf is not None) != (config.weighting == "tfidf"):
             state = "has" if idf is not None else "lacks"
-            raise ValueError(f"feature model with {config.weighting} weighting {state} an idf")
+            raise ValueError(f"{where} with {config.weighting} weighting {state} an idf")
         model = cls(word_vocab=word, char_vocab=char, config=config, idf=idf)
         if idf is not None and idf.shape != (model.width,):
             raise ValueError(
-                f"idf of shape {idf.shape} does not match feature width {model.width}"
+                f"{where}: idf of shape {idf.shape} does not match feature width {model.width}"
             )
         return model
 

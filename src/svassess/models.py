@@ -18,8 +18,17 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .corpus import from_fields
+
 CLASSIFIER_KINDS = ("naive_bayes", "logistic_regression", "linear_svm", "knn")
-MODEL_KINDS = CLASSIFIER_KINDS + ("kmeans",)
+# the arrays a model of each kind uses, with their number of dimensions
+KIND_ARRAYS = {
+    "naive_bayes": {"class_log_prior": 1, "feature_log_prob": 2},
+    "logistic_regression": {"coef": 2, "intercept": 1},
+    "linear_svm": {"coef": 2, "intercept": 1},
+    "knn": {"neighbors_x": 2, "neighbors_y": 1},
+    "kmeans": {"centroids": 2},
+}
 C_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 KNN_K_GRID = (5, 11, 31, 51)
 KNN_WEIGHTS = ("uniform", "distance")
@@ -69,10 +78,6 @@ class ClassifierSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ClassifierSpec":
-        return cls(**obj)
 
 
 def standard_classifier_grid() -> list[ClassifierSpec]:
@@ -137,38 +142,30 @@ class TrainedModel:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "TrainedModel":
-        """Rebuild a model, rejecting an unknown kind and per-class or
-        per-neighbour arrays whose leading size disagrees with the labels."""
-        if obj["kind"] not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {obj['kind']!r}")
-
-        def arr(key, dtype=float):
-            v = obj.get(key)
-            return None if v is None else np.array(v, dtype=dtype)
-
-        model = cls(
-            kind=obj["kind"],
-            labels=tuple(obj["labels"]),
-            spec=None if obj["spec"] is None else ClassifierSpec.from_dict(obj["spec"]),
-            seed=obj["seed"],
-            class_log_prior=arr("class_log_prior"),
-            feature_log_prob=arr("feature_log_prob"),
-            coef=arr("coef"),
-            intercept=arr("intercept"),
-            neighbors_x=arr("neighbors_x"),
-            neighbors_y=arr("neighbors_y", dtype=np.int64),
-            centroids=arr("centroids"),
-            inertia_history=tuple(obj["inertia_history"]),
-        )
-        n = len(model.labels)
-        for key in ("class_log_prior", "feature_log_prob", "coef", "intercept"):
+    def from_dict(cls, obj: dict, where: str = "model") -> "TrainedModel":
+        """Rebuild a model, rejecting a key or value that does not fit its
+        fields, an unknown kind, a classifier without a spec of its kind,
+        and a missing or misshapen array of its kind: per-class arrays must
+        match the labels, neighbours their label indices."""
+        model = from_fields(cls, obj, where)
+        kind, spec, n = model.kind, model.spec, len(model.labels)
+        if kind not in KIND_ARRAYS:
+            raise ValueError(f"{where}: unknown model kind {kind!r}")
+        if kind in CLASSIFIER_KINDS and (spec is None or spec.kind != kind):
+            raise ValueError(f"{where}, key 'spec': a {kind} model needs a {kind} spec")
+        for key, ndim in KIND_ARRAYS[kind].items():
             a = getattr(model, key)
-            if a is not None and a.shape[:1] != (n,):
-                raise ValueError(f"{key} of shape {a.shape} does not match {n} labels")
-        x, y = model.neighbors_x, model.neighbors_y
-        if x is not None and (y is None or x.shape[:1] != y.shape):
-            raise ValueError("neighbors_x rows do not match neighbors_y")
+            if a is None or a.ndim != ndim:
+                raise ValueError(f"{where}, key {key!r}: a {kind} model needs a {ndim}-d array")
+            if kind not in ("knn", "kmeans") and len(a) != n:
+                raise ValueError(f"{where}: {key} of shape {a.shape} does not match {n} labels")
+        if kind == "knn":
+            x, y = model.neighbors_x, model.neighbors_y
+            model.neighbors_y = y.astype(np.int64)
+            if len(x) != len(y):
+                raise ValueError(f"{where}: neighbors_x rows do not match neighbors_y")
+            if not ((model.neighbors_y == y) & (0 <= y) & (y < n)).all():
+                raise ValueError(f"{where}: neighbors_y must hold indices of the {n} labels")
         return model
 
     @classmethod

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import from_fields
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -69,13 +71,6 @@ class AcGruConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "AcGruConfig":
-        obj = dict(obj)
-        obj["filter_sizes"] = tuple(obj["filter_sizes"])
-        obj["tasks"] = tuple((name, int(n)) for name, n in obj["tasks"])
-        return cls(**obj)
 
 
 @dataclass
@@ -565,6 +560,6 @@ def load_parameters(path) -> tuple[Parameters, AcGruConfig]:
         raise ValueError(
             f"unsupported bundle version {payload.get('version')!r}"
         )
-    config = AcGruConfig.from_dict(payload["config"])
+    config = from_fields(AcGruConfig, payload["config"], f"{path}, key 'config'")
     data = {name: np.array(arr, dtype=float) for name, arr in payload["arrays"].items()}
     return Parameters(data=data), config

@@ -82,7 +82,7 @@ def test_missing_config_file_exits_one(capsys):
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):
     # "workers" was once accepted but never read
-    for raw in ({"tempo": "presto"}, {"workers": 2}):
+    for raw in ({"tempo": "presto"}, {"workers": 2}, {"command": "train"}):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw), encoding="utf-8")
         assert cli.main(["ingest", "--config", str(bad)]) == 1
@@ -524,7 +524,7 @@ def test_evaluate_rejects_selection_missing_key(trained, tmp_path, capsys, path)
         assert "'Severity'" in err
 
 
-@pytest.mark.parametrize("config", [0, 9, "1"])
+@pytest.mark.parametrize("config", [0, 9, "1", True, 1.0])
 def test_evaluate_rejects_selection_of_unknown_feature_config(trained, tmp_path, capsys, config):
     def edit(selected):
         selected["Severity"]["feature_config"] = config
@@ -532,6 +532,96 @@ def test_evaluate_rejects_selection_of_unknown_feature_config(trained, tmp_path,
     assert _evaluate_with_selection(trained, tmp_path, edit) == 1
     err = capsys.readouterr().err
     assert "'Severity'" in err and f"feature_config {config!r}" in err
+
+
+def _set(path, value):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return edit
+
+
+def _train_with_config(trained, tmp_path, edit):
+    """Run train on an edited copy of the trained config."""
+    config, _ = trained
+    obj = json.loads(Path(config).read_text(encoding="utf-8"))
+    obj["out"] = str(tmp_path / "out")
+    edit(obj)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(obj), encoding="utf-8")
+    return cli.main(["train", "--config", str(edited)])
+
+
+# each JSON input the CLI reads: the run that reads an edited copy, the
+# copy's file name, and where the trained original lies
+EDITED_INPUTS = {
+    "config": (_train_with_config, "edited.json", lambda config, out: Path(config)),
+    "selection": (
+        _evaluate_with_selection,
+        "selected.json",
+        lambda config, out: out / "selected.json",
+    ),
+    "bundle": (
+        lambda *args: _assess_with_bundle(*args)[0],
+        "bundle.json",
+        lambda config, out: out / "models" / "bundle.json",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "target,path,value,named",
+    [
+        ("config", ("time_k",), 2.5, "'time_k'"),
+        ("config", ("seed",), "x", "'seed'"),
+        ("config", ("seed",), 1.5, "'seed'"),
+        ("config", ("feature_configs",), [True], "'feature_configs'"),
+        ("config", ("time_k",), "2", "'time_k'"),
+        ("selection", ("Severity", "classifier_spec", "c"), "x", "'c'"),
+        ("selection", ("Severity", "classifier_spec", "foo"), 1, "'foo'"),
+        ("selection", ("Severity", "feature_config"), True, "feature_config True"),
+        ("bundle", ("feature_models", "1", "config", "foo"), 1, "'foo'"),
+        ("bundle", ("tasks", "Severity", "classifier", "spec", "c"), "x", "'c'"),
+        ("bundle", ("tasks", "Severity", "classifier", "labels"), 5, "'labels'"),
+        ("bundle", ("feature_models", "1", "word_vocab"), 7, "'word_vocab'"),
+        ("bundle", ("tasks", "Severity", "classifier", "foo"), 1, "'foo'"),
+        # a classifier whose kind no longer fits its spec and arrays
+        ("bundle", ("tasks", "Severity", "classifier", "kind"), "logistic_regression", "'spec'"),
+    ],
+)
+def test_mistyped_value_or_unknown_key_exits_one_naming_file_and_key(
+    trained, tmp_path, capsys, target, path, value, named
+):
+    run, file_name, _ = EDITED_INPUTS[target]
+    assert run(trained, tmp_path, _set(path, value)) == 1
+    err = capsys.readouterr().err
+    assert file_name in err and named in err
+    if "Severity" in path:
+        assert "'Severity'" in err
+
+
+OTHER_TYPED_VALUES = ("x", 1.5, True, None, [], {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_property_input_value_of_another_type_never_exits_two(trained, data):
+    run, file_name, source = EDITED_INPUTS[data.draw(st.sampled_from(sorted(EDITED_INPUTS)))]
+    original = json.loads(source(*trained).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(sorted(_key_paths(original))))
+    value = original
+    for key in path:
+        value = value[key]
+    others = [v for v in OTHER_TYPED_VALUES if type(v) is not type(value)]
+    other = data.draw(st.sampled_from(others))
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+        code = run(trained, Path(tmp), _set(path, other))
+    assert code in (0, 1)
+    if code == 1:
+        # a null config key is that key left out; the run then names the key
+        assert file_name in err.getvalue() or (other is None and path[-1] in err.getvalue())
 
 
 def test_evaluate_accepts_selection_spec_with_default_keys(trained, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import datetime
 import difflib
 import json
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from svassess.corpus import (
     SchemaError,
     SvReport,
     apply_hunks,
+    from_fields,
     load_dataset,
     parse_unified_diff,
     serialize_dataset,
@@ -323,3 +326,46 @@ def test_hunk_pre_range():
     assert hunk.pre_range() == (4, 10)
     insertion = Hunk(0, 0, 1, 1, (("+", "new"),))
     assert insertion.pre_range() == (1, 1)
+
+
+@dataclass(frozen=True)
+class Sample:
+    name: str
+    weight: float = 1.0
+    tags: tuple[str, ...] = ()
+    rows: np.ndarray | None = None
+
+
+def test_from_fields_converts_lists_and_keeps_ints():
+    sample = from_fields(
+        Sample, {"name": "a", "weight": 2, "tags": ["x"], "rows": [[1, 2.5]]}, "w"
+    )
+    assert sample.tags == ("x",) and type(sample.weight) is int
+    assert sample.rows.dtype == float and sample.rows.tolist() == [[1.0, 2.5]]
+    assert from_fields(Sample, {"name": "a"}, "w", partial=True) == Sample("a")
+
+
+FULL_SAMPLE = {"name": "a", "weight": 1.0, "tags": [], "rows": None}
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        (["a"], "w: not a JSON object"),
+        ({"name": "a"}, "w: missing key 'weight'"),
+        ({**FULL_SAMPLE, "size": 1}, "w: unknown sample keys ['size']"),
+        ({**FULL_SAMPLE, "name": 1}, "w, key 'name': expected str"),
+        ({**FULL_SAMPLE, "weight": True}, "w, key 'weight': expected float"),
+        ({**FULL_SAMPLE, "weight": "1"}, "w, key 'weight': expected float"),
+        ({**FULL_SAMPLE, "tags": ["x", 1]}, "w, key 'tags': expected tuple"),
+        ({**FULL_SAMPLE, "tags": "x"}, "w, key 'tags': expected tuple"),
+        ({**FULL_SAMPLE, "rows": [[1.0, True]]}, "w, key 'rows': expected ndarray"),
+        ({**FULL_SAMPLE, "rows": [[1.0], [1.0, 2.0]]}, "w, key 'rows': expected ndarray"),
+        ({**FULL_SAMPLE, "rows": [[[1.0]]]}, "w, key 'rows': expected ndarray"),
+        ({**FULL_SAMPLE, "rows": ["x"]}, "w, key 'rows': expected ndarray"),
+    ],
+)
+def test_from_fields_rejects_naming_the_key(obj, message):
+    with pytest.raises(SchemaError) as info:
+        from_fields(Sample, obj, "w")
+    assert str(info.value).startswith(message)

@@ -390,6 +390,44 @@ def test_model_load_rejects_neighbors_not_matching_labels():
         TrainedModel.from_dict(obj)
 
 
+def _replace(**changes):
+    def edit(obj):
+        obj.update(changes)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind,edit,named",
+    [
+        # a classifier whose kind changed keeps the other kind's arrays and spec
+        ("naive_bayes", _replace(kind="logistic_regression"), "'spec'"),
+        ("logistic_regression", _replace(kind="knn"), "'spec'"),
+        ("knn", _replace(spec=None), "'spec'"),
+        ("naive_bayes", _replace(spec=ClassifierSpec("linear_svm").to_dict()), "'spec'"),
+        ("naive_bayes", _replace(class_log_prior=None), "'class_log_prior'"),
+        ("naive_bayes", _replace(feature_log_prob=None), "'feature_log_prob'"),
+        ("naive_bayes", _replace(feature_log_prob=[0.0, 0.0, 0.0]), "'feature_log_prob'"),
+        ("logistic_regression", _replace(coef=None), "'coef'"),
+        ("linear_svm", _replace(intercept=None), "'intercept'"),
+        ("knn", _replace(neighbors_x=None), "'neighbors_x'"),
+        ("knn", _replace(neighbors_y=None), "'neighbors_y'"),
+        ("knn", _replace(neighbors_y=[0, 0, 1, 1, 2, 3]), "neighbors_y"),
+        ("knn", _replace(neighbors_y=[0, 0, 1, 1, 2, 1.5]), "neighbors_y"),
+        ("kmeans", _replace(centroids=None), "'centroids'"),
+    ],
+)
+def test_model_load_rejects_arrays_or_spec_not_fitting_the_kind(kind, edit, named):
+    if kind == "kmeans":
+        obj = kmeans_fit(THREE_X, 3, seed=0).to_dict()
+    else:
+        obj = _fitted_dict(kind, **({"knn_k": 1} if kind == "knn" else {}))
+    TrainedModel.from_dict(obj)  # the intact model loads
+    edit(obj)
+    with pytest.raises(ValueError, match=named):
+        TrainedModel.from_dict(obj)
+
+
 def test_model_load_keeps_kmeans_without_labels():
     model = kmeans_fit(THREE_X, 3, seed=0)
     reloaded = TrainedModel.from_dict(model.to_dict())
