@@ -166,20 +166,29 @@ def build_parser() -> _Parser:
 
 
 def _read_json_object(path) -> dict:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     require_keys(obj, (), str(path))
     return obj
 
 
 def effective_config(ns: argparse.Namespace) -> PipelineConfig:
-    """JSON config file first, command-line flags on top."""
-    where = ns.config or "command line"
-    raw = _read_json_object(ns.config) if ns.config else {}
-    if "command" in raw:  # the subcommand comes from the command line only
-        raise SchemaError(f"{where}: unknown config keys ['command']")
+    """JSON config file first, command-line flags on top.
+
+    The flags are checked alone before the merge, so an error names the
+    command line or the file, whichever its value came from.
+    """
     # the flags given, the subcommand among them, override the file
     flags = {k: v for k, v in vars(ns).items() if v is not None and k != "config"}
-    return from_fields(PipelineConfig, {**raw, **flags}, where, partial=True)
+    cfg = from_fields(PipelineConfig, flags, "command line", partial=True)
+    if not ns.config:
+        return cfg
+    raw = _read_json_object(ns.config)
+    if "command" in raw:  # the subcommand comes from the command line only
+        raise SchemaError(f"{ns.config}: unknown config keys ['command']")
+    return from_fields(PipelineConfig, {**raw, **flags}, ns.config, partial=True)
 
 
 def write_manifest(cfg: PipelineConfig) -> None:

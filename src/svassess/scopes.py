@@ -2,9 +2,12 @@
 for diff hunks, and line-context builders for function-level records
 (surrounding window, whole function, and a light def-use slice).
 
-The parser is a brace matcher, not a grammar: strings and comments
-shield braces, a braced block whose header names a known construct
+The parser is a brace matcher over the tokens of one `textprep.scan_code`,
+not a grammar: literals and comments shield braces because the scanner
+already lexed them, a braced block whose header names a known construct
 becomes a node, and any other braced block dissolves into its parent.
+Function records are lexed by one scan of their joined lines, never
+line by line, so a comment or literal spanning lines is seen whole.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import FunctionRecord
-from .textprep import code_line_mask, tokenize_code
+from .textprep import code_line_mask, scan_lines
 
 SCOPE_KINDS = (
     "type_decl",
@@ -80,7 +83,6 @@ class ScopeTree:
 @dataclass(frozen=True)
 class ContextConfig:
     surrounding_n: int = 6
-    within_function_only: bool = True
 
     def __post_init__(self):
         if self.surrounding_n < 0:
@@ -116,100 +118,64 @@ def _classify_header(header: str) -> str | None:
 
 
 def parse_scopes(source: str) -> ScopeTree:
-    """Brace-matching scope parser with comment/string shielding.
+    """Brace-matching scope parser over one `scan_code` of the source.
 
     Raises on unbalanced braces, naming the offending line.
     """
     lines = source.split("\n")
-    n_lines = len(lines)
+    return _scope_tree(lines, *scan_lines(lines))
+
+
+def _scope_tree(lines: list[str], line_tokens: list[list[str]], mask: list[bool]) -> ScopeTree:
+    """Scope tree of lexed lines.  A scope's header is its tokens since the
+    last boundary ('{', '}', or ';' outside parentheses) joined by spaces,
+    literals shown as '""'."""
     # each frame: [kind, start_line, brace_line, children]
     stack: list[list] = [["file_root", 1, 0, []]]
     header: list[str] = []
     header_line = 0
     paren_depth = 0
-    line_no = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if ch == "\n":
-            line_no += 1
-            i += 1
-            continue
-        if ch == "/" and nxt == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and nxt == "*":
-            i += 2
-            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
-                if source[i] == "\n":
-                    line_no += 1
-                i += 1
-            i += 2
-            continue
-        if ch in "\"'":
-            quote = ch
-            i += 1
-            while i < n and source[i] not in (quote, "\n"):
-                if source[i] == "\\" and i + 1 < n:
-                    i += 1
-                i += 1
-            if i < n and source[i] == quote:
-                i += 1
-            header.append('""')  # shielded literal; braces inside are gone
-            continue
-        if ch == "{":
-            kind = _classify_header("".join(header))
-            start = header_line if header_line else line_no
-            stack.append([kind, start, line_no, []])
-            header = []
-            header_line = 0
-            paren_depth = 0
-            i += 1
-            continue
-        if ch == "}":
-            if len(stack) == 1:
-                raise ValueError(f"unbalanced closing brace at line {line_no}")
-            kind, start, _, children = stack.pop()
-            if kind is None:
-                stack[-1][3].extend(children)  # dissolve into the parent
+    for line_no, tokens in enumerate(line_tokens, 1):
+        for token in tokens:
+            if token == "{":
+                kind = _classify_header(" ".join(header))
+                stack.append([kind, header_line if header else line_no, line_no, []])
+                header = []
+                paren_depth = 0
+            elif token == "}":
+                if len(stack) == 1:
+                    raise ValueError(f"unbalanced closing brace at line {line_no}")
+                kind, start, _, children = stack.pop()
+                if kind is None:
+                    stack[-1][3].extend(children)  # dissolve into the parent
+                else:
+                    stack[-1][3].append(
+                        ScopeNode(kind=kind, start_line=start, end_line=line_no,
+                                  children=children)
+                    )
+                header = []
+                paren_depth = 0
+            elif token == ";" and paren_depth == 0:
+                # statement boundary; semicolons inside for(...) stay in the header
+                header = []
             else:
-                stack[-1][3].append(
-                    ScopeNode(kind=kind, start_line=start, end_line=line_no,
-                              children=children)
-                )
-            header = []
-            header_line = 0
-            paren_depth = 0
-            i += 1
-            continue
-        if ch == ";" and paren_depth == 0:
-            # statement boundary; semicolons inside for(...) stay in the header
-            header = []
-            header_line = 0
-            i += 1
-            continue
-        if not ch.isspace():
-            if ch == "(":
-                paren_depth += 1
-            elif ch == ")":
-                paren_depth = max(0, paren_depth - 1)
-            if not header:
-                header_line = line_no
-            header.append(ch)
-        elif header and header[-1] != " ":
-            header.append(" ")
-        i += 1
+                if token == "(":
+                    paren_depth += 1
+                elif token == ")":
+                    paren_depth = max(0, paren_depth - 1)
+                elif token[0] in "\"'":
+                    token = '""'  # shielded literal; braces inside are gone
+                if not header:
+                    header_line = line_no
+                header.append(token)
     if len(stack) > 1:
         raise ValueError(
             f"unclosed brace opened at line {stack[-1][2]}"
         )
     root = ScopeNode(
-        kind="file_root", start_line=1, end_line=n_lines, children=stack[0][3]
+        kind="file_root", start_line=1, end_line=len(lines), children=stack[0][3]
     )
-    return ScopeTree(root=root, lines=lines, code_mask=code_line_mask(lines))
+    return ScopeTree(root=root, lines=lines, code_mask=mask)
 
 
 def extract_ces(tree: ScopeTree, hunk_start: int, hunk_end: int) -> ScopeNode:
@@ -249,7 +215,7 @@ def extract_commit_ces(
 # ---------------------------------------------------------------------------
 
 def _masks(record: FunctionRecord) -> tuple[list[bool], set[int]]:
-    return code_line_mask(list(record.lines)), set(record.vulnerable_line_indices)
+    return code_line_mask(record.lines), set(record.vulnerable_line_indices)
 
 
 def surrounding_context(record: FunctionRecord, config: ContextConfig) -> set[int]:
@@ -291,19 +257,13 @@ _ASSIGN_OPS = frozenset(
 )
 
 
-def _line_tokens(line: str) -> list[str]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return tokenize_code(line)
-
-
 def _is_identifier(token: str) -> bool:
     return bool(re.fullmatch(r"[A-Za-z_$][\w$]*", token)) and token not in JAVA_KEYWORDS
 
 
-def line_identifiers(line: str) -> set[str]:
-    """Data identifiers: skips call names, type positions, and keywords."""
-    tokens = _line_tokens(line)
+def line_identifiers(tokens: list[str]) -> set[str]:
+    """Data identifiers of a line's tokens: skips call names, type
+    positions, and keywords."""
     out = set()
     for i, tok in enumerate(tokens):
         if not _is_identifier(tok):
@@ -317,12 +277,11 @@ def line_identifiers(line: str) -> set[str]:
     return out
 
 
-def line_assignments(line: str) -> set[str]:
-    """Identifiers written by the line: left-hand sides of assignment
-    operators, declared names, and receivers of mutator calls
+def line_assignments(tokens: list[str]) -> set[str]:
+    """Identifiers written by a line's tokens: left-hand sides of
+    assignment operators, declared names, and receivers of mutator calls
     (`sb.append(...)` counts as writing sb).
     """
-    tokens = _line_tokens(line)
     out = set()
     assign_positions = [i for i, t in enumerate(tokens) if t in _ASSIGN_OPS]
     if assign_positions:
@@ -360,50 +319,32 @@ def defuse_slice(record: FunctionRecord) -> tuple[set[int], set[int]]:
     using identifiers the vulnerable lines write.  Both are widened by a
     single transitive pass.  No identifiers → both sets empty.
     """
-    mask, vuln = _masks(record)
-    lines = list(record.lines)
-    seed_ids: set[str] = set()
-    written_ids: set[str] = set()
-    for v in sorted(vuln):
-        seed_ids |= line_identifiers(lines[v])
-        written_ids |= line_assignments(lines[v])
+    line_tokens, mask = scan_lines(record.lines)
+    vuln = set(record.vulnerable_line_indices)
+    used = [line_identifiers(tokens) for tokens in line_tokens]
+    written = [line_assignments(tokens) for tokens in line_tokens]
+    seed_ids = set().union(*(used[v] for v in vuln))
+    written_ids = set().union(*(written[v] for v in vuln))
     if not seed_ids and not written_ids:
         return set(), set()
     first_vuln = min(vuln)
     last_vuln = max(vuln)
+    n_lines = len(line_tokens)
 
-    def assigns_any(i: int, ids: set[str]) -> bool:
-        return bool(line_assignments(lines[i]) & ids)
+    def assigning(ids: set[str]) -> set[int]:
+        return {i for i in range(first_vuln) if mask[i] and written[i] & ids}
 
-    def uses_any(i: int, ids: set[str]) -> bool:
-        return bool(line_identifiers(lines[i]) & ids)
+    def using(ids: set[str]) -> set[int]:
+        return {i for i in range(last_vuln + 1, n_lines) if mask[i] and used[i] & ids}
 
-    backward = {
-        i
-        for i in range(first_vuln)
-        if mask[i] and assigns_any(i, seed_ids)
-    }
-    forward = {
-        i
-        for i in range(last_vuln + 1, len(lines))
-        if mask[i] and uses_any(i, written_ids)
-    }
+    backward = assigning(seed_ids)
+    forward = using(written_ids)
     # one transitive widening pass
-    back_ids = set().union(*(line_identifiers(lines[i]) for i in backward)) if backward else set()
-    forward_ids = set().union(*(line_assignments(lines[i]) for i in forward)) if forward else set()
-    backward |= {
-        i
-        for i in range(first_vuln)
-        if mask[i] and assigns_any(i, back_ids)
-    }
-    forward |= {
-        i
-        for i in range(last_vuln + 1, len(lines))
-        if mask[i] and uses_any(i, forward_ids)
-    }
+    backward |= assigning(set().union(*(used[i] for i in backward)))
+    forward |= using(set().union(*(written[i] for i in forward)))
     # headers of control scopes enclosing any vulnerable line
     try:
-        tree = parse_scopes("\n".join(lines))
+        tree = _scope_tree(list(record.lines), line_tokens, mask)
     except ValueError:
         tree = None
     if tree is not None:
@@ -429,8 +370,7 @@ def context_indices(
     """(vulnerable indices, context indices) for a mode, both sorted."""
     if mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {mode!r}")
-    mask, vuln = _masks(record)
-    vuln_sorted = sorted(vuln)
+    vuln_sorted = sorted(record.vulnerable_line_indices)
     if mode == "vuln_only":
         return vuln_sorted, []
     if mode == "nonvuln_all":
@@ -470,12 +410,10 @@ def build_input(
     'nonvuln_*') tokenize just their own line set.
     """
     vuln_idx, ctx_idx = context_indices(record, mode, config, seed=seed)
+    line_tokens = scan_lines(record.lines)[0]
 
     def tokens_of(indices):
-        out = []
-        for i in indices:
-            out.extend(_line_tokens(record.lines[i]))
-        return out
+        return [token for i in indices for token in line_tokens[i]]
 
     if mode.startswith("nonvuln"):
         return tokens_of(ctx_idx)

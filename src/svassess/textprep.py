@@ -2,13 +2,21 @@
 
 Natural-language side: stopword removal, the followed-by-space punctuation
 rule (keeps tokens like "input.c" and "man-in-the-middle" intact),
-lowercasing and Porter stemming.  Code side: a small Java-flavoured lexer
-that keeps literals whole, splits maximal operators, and knows which lines
-are comments or blank.
+lowercasing and Porter stemming.
+
+Code side: `scan_code` is the one Java-flavoured lexer; `tokenize_code`,
+`code_line_mask` and the scope parser all read its tokens.  Its rule:
+comments are dropped and separate the tokens on either side; a literal
+ends at its closing quote or before the end of its line, quotes
+included; a backslash escapes the next character, a newline included; an
+unterminated literal runs to the end of its line with a warning;
+operators are matched by maximal munch.  A line holds code iff a token
+lies on it.
 """
 
 from __future__ import annotations
 
+import re
 import string
 import warnings
 from dataclasses import dataclass, field
@@ -87,122 +95,87 @@ _OPERATORS = (
     "<<", ">>", "->", "::",
 )
 
-_IDENT_START = frozenset(string.ascii_letters + "_$")
-_IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_$")
-_NUM_CONT = frozenset(string.digits + string.ascii_letters + "_.")
+# One match per token or per run of whitespace and comments.  Alternatives
+# are tried in order, so comments win over "/", a quote always starts a
+# literal, and operators are matched longest first.
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>(?:\s+|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))+)
+    |(?P<literal>"(?:[^"\\\n]|\\[\s\S])*"|'(?:[^'\\\n]|\\[\s\S])*')
+    |(?P<open>"(?:[^"\\\n]|\\[\s\S]?)*|'(?:[^'\\\n]|\\[\s\S]?)*)
+    |(?P<code>[A-Za-z_$][A-Za-z0-9_$]*|\d[A-Za-z0-9_.]*|{ops}|[\x00-\x7f])
+    |(?P<other>[\s\S])""".replace("{ops}", "|".join(map(re.escape, _OPERATORS))),
+    re.VERBOSE,
+)
+# the rest of a number whose first digit is a digit but not a decimal one
+# (e.g. "\u00b2"): `\d` matches only decimal digits, str.isdigit() both
+_NUMBER_TAIL_RE = re.compile(r"[A-Za-z0-9_.]*")
+
+
+def scan_code(text: str) -> tuple[list[str], list[int]]:
+    """Source text -> (code tokens, 1-based line of each token).
+
+    The one lexer for code (rule in the module docstring): identifiers,
+    numbers, literals and operators, case preserved.  A literal continued
+    over an escaped newline is one token, on the line it starts on.
+    """
+    tokens: list[str] = []
+    lines: list[int] = []
+    line = 1
+    pos = 0
+    n = len(text)
+    match = _TOKEN_RE.match
+    while pos < n:
+        m = match(text, pos)
+        kind = m.lastgroup
+        token = m.group()
+        pos = m.end()
+        if kind == "skip":
+            line += token.count("\n")
+            continue
+        if kind == "open":
+            warnings.warn(f"unterminated {token[0]}-literal tokenized to end of line")
+        elif kind == "other" and token.isdigit():
+            tail = _NUMBER_TAIL_RE.match(text, pos)
+            token += tail.group()
+            pos = tail.end()
+        tokens.append(token)
+        lines.append(line)
+        if kind != "code":
+            line += token.count("\n")
+    return tokens, lines
 
 
 def tokenize_code(text: str) -> list[str]:
-    """Source text -> identifier / literal / operator tokens, case preserved.
+    """Source text -> the tokens of `scan_code`."""
+    return scan_code(text)[0]
 
-    String and char literals come out as single tokens (quotes included);
-    comments vanish entirely.  An unterminated string is tokenized up to
-    the end of its line and flagged with a warning.
+
+def scan_lines(lines) -> tuple[list[list[str]], list[bool]]:
+    """One `scan_code` of the lines joined by newlines, split back per line:
+    (each line's tokens, code mask).
+
+    A line holds code iff a token lies on it, so blank and comment-only
+    lines are False; a literal continued over escaped newlines lies on
+    every line it spans.  A line that itself holds line breaks gets the
+    tokens of all its text lines.
     """
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            i = n if end == -1 else end + 2
-            continue
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            while j < n and text[j] != quote and text[j] != "\n":
-                if text[j] == "\\" and j + 1 < n:
-                    j += 1
-                j += 1
-            if j < n and text[j] == quote:
-                tokens.append(text[i : j + 1])
-                i = j + 1
-            else:
-                warnings.warn(f"unterminated {quote}-literal tokenized to end of line")
-                tokens.append(text[i:j])
-                i = j
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j] in _NUM_CONT:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(op)
-                i += len(op)
-                break
-        else:
-            tokens.append(ch)
-            i += 1
-    return tokens
+    tokens, token_lines = scan_code("\n".join(lines))
+    # the line each text line of the joined text belongs to
+    owner = [i for i, line in enumerate(lines) for _ in range(line.count("\n") + 1)]
+    per_line: list[list[str]] = [[] for _ in lines]
+    mask = [False] * len(lines)
+    for token, line in zip(tokens, token_lines):
+        per_line[owner[line - 1]].append(token)
+        mask[owner[line - 1]] = True
+        if "\n" in token:
+            for spanned in range(line, line + token.count("\n")):
+                mask[owner[spanned]] = True
+    return per_line, mask
 
 
 def code_line_mask(lines: list[str]) -> list[bool]:
-    """True per line iff the line contains code (not blank/comment-only).
-
-    Tracks /* ... */ state across lines; string literals shield comment
-    markers; a // comment runs to end of line.
-    """
-    mask: list[bool] = []
-    in_block = False
-    for line in lines:
-        has_code = False
-        i = 0
-        n = len(line)
-        in_string: str | None = None
-        while i < n:
-            ch = line[i]
-            if in_block:
-                if ch == "*" and i + 1 < n and line[i + 1] == "/":
-                    in_block = False
-                    i += 2
-                    continue
-                i += 1
-                continue
-            if in_string is not None:
-                has_code = True
-                if ch == "\\" and i + 1 < n:
-                    i += 2
-                    continue
-                if ch == in_string:
-                    in_string = None
-                i += 1
-                continue
-            if ch == "/" and i + 1 < n and line[i + 1] == "/":
-                break
-            if ch == "/" and i + 1 < n and line[i + 1] == "*":
-                in_block = True
-                i += 2
-                continue
-            if ch in "\"'":
-                in_string = ch
-                has_code = True
-                i += 1
-                continue
-            if not ch.isspace():
-                has_code = True
-            i += 1
-        in_string = None  # literals do not span lines
-        mask.append(has_code)
-    return mask
+    """True per line iff the line holds code (not blank or comment-only)."""
+    return scan_lines(lines)[1]
 
 
 def strip_noncode_lines(lines: list[str]) -> tuple[list[str], dict[int, int]]:

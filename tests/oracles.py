@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import string
+import warnings
 
 import numpy as np
 
@@ -293,3 +296,233 @@ def reference_aggregate_json(docs, word_vocab, char_vocab, char_min, char_max, c
         {"config": cfg, "word_vocab": words, "char_vocab": chars, "idf": idf},
         sort_keys=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# Java-like lexing: the three character-loop lexers the one scanner
+# replaced, kept verbatim as the reference for its properties.
+# ---------------------------------------------------------------------------
+
+_OPERATORS = (
+    ">>>=",
+    "<<=", ">>=", ">>>", "...",
+    "++", "--", "==", "!=", "<=", ">=", "&&", "||",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "<<", ">>", "->", "::",
+)
+_IDENT_START = frozenset(string.ascii_letters + "_$")
+_IDENT_CONT = frozenset(string.ascii_letters + string.digits + "_$")
+_NUM_CONT = frozenset(string.digits + string.ascii_letters + "_.")
+
+
+def tokenize_code(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "*":
+            end = text.find("*/", i + 2)
+            i = n if end == -1 else end + 2
+            continue
+        if ch in "\"'":
+            quote = ch
+            j = i + 1
+            while j < n and text[j] != quote and text[j] != "\n":
+                if text[j] == "\\" and j + 1 < n:
+                    j += 1
+                j += 1
+            if j < n and text[j] == quote:
+                tokens.append(text[i : j + 1])
+                i = j + 1
+            else:
+                warnings.warn(f"unterminated {quote}-literal tokenized to end of line")
+                tokens.append(text[i:j])
+                i = j
+            continue
+        if ch in _IDENT_START:
+            j = i + 1
+            while j < n and text[j] in _IDENT_CONT:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        if ch.isdigit():
+            j = i + 1
+            while j < n and text[j] in _NUM_CONT:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(op)
+                i += len(op)
+                break
+        else:
+            tokens.append(ch)
+            i += 1
+    return tokens
+
+
+def code_line_mask(lines):
+    mask = []
+    in_block = False
+    for line in lines:
+        has_code = False
+        i = 0
+        n = len(line)
+        in_string = None
+        while i < n:
+            ch = line[i]
+            if in_block:
+                if ch == "*" and i + 1 < n and line[i + 1] == "/":
+                    in_block = False
+                    i += 2
+                    continue
+                i += 1
+                continue
+            if in_string is not None:
+                has_code = True
+                if ch == "\\" and i + 1 < n:
+                    i += 2
+                    continue
+                if ch == in_string:
+                    in_string = None
+                i += 1
+                continue
+            if ch == "/" and i + 1 < n and line[i + 1] == "/":
+                break
+            if ch == "/" and i + 1 < n and line[i + 1] == "*":
+                in_block = True
+                i += 2
+                continue
+            if ch in "\"'":
+                in_string = ch
+                has_code = True
+                i += 1
+                continue
+            if not ch.isspace():
+                has_code = True
+            i += 1
+        mask.append(has_code)
+    return mask
+
+
+_KEYWORD_KINDS = (
+    (re.compile(r"\b(class|interface|enum)\b"), "type_decl"),
+    (re.compile(r"\b(if|else)\b"), "if_else"),
+    (re.compile(r"\bswitch\b"), "switch"),
+    (re.compile(r"\b(for|while|do)\b"), "loop"),
+    (re.compile(r"\b(try|catch|finally)\b"), "try_catch"),
+)
+_METHOD_RE = re.compile(
+    r"[A-Za-z_$][\w$]*\s*\([^;{}]*\)\s*(throws\s+[\w$.,\s<>\[\]]+)?$"
+)
+_ASSIGN_EQ_RE = re.compile(r"(?<![=!<>+\-*/%&|^])=(?!=)")
+
+
+def _classify_header(header):
+    text = header.strip()
+    for pattern, kind in _KEYWORD_KINDS:
+        if pattern.search(text):
+            return kind
+    if "->" in text or re.search(r"\bnew\b", text):
+        return None
+    if _ASSIGN_EQ_RE.search(text):
+        return None
+    if "(" in text and _METHOD_RE.search(text):
+        return "method"
+    return None
+
+
+def parse_scopes(source):
+    """(tree, code mask); the tree is nested (kind, start, end, children)
+    tuples rooted at file_root.  Raises ValueError on unbalanced braces."""
+    lines = source.split("\n")
+    stack = [["file_root", 1, 0, []]]
+    header = []
+    header_line = 0
+    paren_depth = 0
+    line_no = 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        nxt = source[i + 1] if i + 1 < n else ""
+        if ch == "\n":
+            line_no += 1
+            i += 1
+            continue
+        if ch == "/" and nxt == "/":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch == "/" and nxt == "*":
+            i += 2
+            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
+                if source[i] == "\n":
+                    line_no += 1
+                i += 1
+            i += 2
+            continue
+        if ch in "\"'":
+            quote = ch
+            i += 1
+            while i < n and source[i] not in (quote, "\n"):
+                if source[i] == "\\" and i + 1 < n:
+                    i += 1
+                i += 1
+            if i < n and source[i] == quote:
+                i += 1
+            header.append('""')
+            continue
+        if ch == "{":
+            kind = _classify_header("".join(header))
+            start = header_line if header_line else line_no
+            stack.append([kind, start, line_no, []])
+            header = []
+            header_line = 0
+            paren_depth = 0
+            i += 1
+            continue
+        if ch == "}":
+            if len(stack) == 1:
+                raise ValueError(f"unbalanced closing brace at line {line_no}")
+            kind, start, _, children = stack.pop()
+            if kind is None:
+                stack[-1][3].extend(children)
+            else:
+                stack[-1][3].append((kind, start, line_no, tuple(children)))
+            header = []
+            header_line = 0
+            paren_depth = 0
+            i += 1
+            continue
+        if ch == ";" and paren_depth == 0:
+            header = []
+            header_line = 0
+            i += 1
+            continue
+        if not ch.isspace():
+            if ch == "(":
+                paren_depth += 1
+            elif ch == ")":
+                paren_depth = max(0, paren_depth - 1)
+            if not header:
+                header_line = line_no
+            header.append(ch)
+        elif header and header[-1] != " ":
+            header.append(" ")
+        i += 1
+    if len(stack) > 1:
+        raise ValueError(f"unclosed brace opened at line {stack[-1][2]}")
+    tree = ("file_root", 1, len(lines), tuple(stack[0][3]))
+    return tree, code_line_mask(lines)

@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -102,6 +103,18 @@ def test_bad_protocol_in_config_exits_one(tmp_path, small_reports, capsys):
     config = write_config(tmp_path, small_reports, tmp_path / "out", protocol="psychic")
     assert cli.main(["ingest", "--config", str(config)]) == 1
     assert "protocol" in capsys.readouterr().err
+
+
+def test_error_names_where_its_value_came_from(tmp_path, small_reports, capsys):
+    gone = tmp_path / "gone.jsonl"
+    config = write_config(tmp_path, small_reports, tmp_path / "out")
+    assert cli.main(["train", "--config", str(config), "--dataset", str(gone)]) == 1
+    err = capsys.readouterr().err
+    assert f"command line: dataset path does not exist: {gone}" in err
+    assert str(config) not in err
+    config = write_config(tmp_path, gone, tmp_path / "out")
+    assert cli.main(["train", "--config", str(config), "--seed", "3"]) == 1
+    assert f"{config}: dataset path does not exist: {gone}" in capsys.readouterr().err
 
 
 def test_ingest_without_dataset_exits_one(tmp_path, capsys):
@@ -490,6 +503,31 @@ def test_property_bundle_missing_any_key_never_exits_two(trained, data):
     assert code in (0, 1)
     if required:
         assert code == 1 and f"missing key {path[-1]!r}" in err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["config", "selected", "bundle", "record"])
+def test_invalid_json_names_the_file(trained, tmp_path, capsys, target):
+    config, out = trained
+    models = tmp_path / "models"
+    shutil.copytree(out / "models", models)
+    shutil.copy(out / "selected.json", models / "selected.json")
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({"id": "SV-X", "description": "crash"}), encoding="utf-8")
+    patched = json.loads(Path(config).read_text(encoding="utf-8"))
+    patched.update(record=str(record), models=str(models), out=str(tmp_path / "out"))
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(patched), encoding="utf-8")
+    broken = {
+        "config": run,
+        "selected": models / "selected.json",
+        "bundle": models / "bundle.json",
+        "record": record,
+    }[target]
+    text = broken.read_text(encoding="utf-8")
+    broken.write_text(text[: len(text) // 2], encoding="utf-8")  # truncated
+    command = "evaluate" if target == "selected" else "assess"
+    assert cli.main([command, "--config", str(run)]) == 1
+    assert f"{broken}: invalid JSON: " in capsys.readouterr().err
 
 
 def _evaluate_with_selection(trained, tmp_path, edit):

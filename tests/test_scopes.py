@@ -1,5 +1,7 @@
 import datetime
+import warnings
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from svassess.scopes import (
     parse_scopes,
     surrounding_context,
 )
+from svassess.textprep import tokenize_code
 
 WIDGET = """public class Widget {
     private int count = 0;
@@ -287,13 +290,13 @@ def test_defuse_includes_enclosing_control_headers():
 
 
 def test_line_identifier_rules():
-    assert line_identifiers("sb.append(dir);") == {"sb", "dir"}
-    assert line_identifiers("String dir = input;") == {"dir", "input"}
-    assert line_identifiers('log("x");') == set()
-    assert line_assignments("sb.append(dir);") == {"sb"}
-    assert "x" in line_assignments("int x = 5;")
-    assert line_assignments("if (x == y) {") == set()
-    assert "count" in line_assignments("count += amount;")
+    assert line_identifiers(tokenize_code("sb.append(dir);")) == {"sb", "dir"}
+    assert line_identifiers(tokenize_code("String dir = input;")) == {"dir", "input"}
+    assert line_identifiers(tokenize_code('log("x");')) == set()
+    assert line_assignments(tokenize_code("sb.append(dir);")) == {"sb"}
+    assert "x" in line_assignments(tokenize_code("int x = 5;"))
+    assert line_assignments(tokenize_code("if (x == y) {")) == set()
+    assert "count" in line_assignments(tokenize_code("count += amount;"))
 
 
 def test_context_indices_modes():
@@ -332,8 +335,6 @@ def test_build_input_single_merges_in_code_order():
     merged = build_input(record, "vuln+function", ContextConfig())
     flat = []
     for line in BUILDER_LINES:
-        from svassess.textprep import tokenize_code
-
         flat.extend(tokenize_code(line))
     assert merged == flat
 
@@ -370,3 +371,116 @@ def test_property_surrounding_subset_of_function(n_lines, vuln_pos, n):
     assert near <= full
     assert vuln_pos not in near and vuln_pos not in full
     assert len(near) <= 2 * n
+
+
+def _tuples(node):
+    return (node.kind, node.start_line, node.end_line, tuple(_tuples(c) for c in node.children))
+
+
+def test_header_over_a_line_break_keeps_its_words_apart():
+    # the header reads "public class Foo", not "public classFoo"
+    tree = parse_scopes("public class\nFoo {\n  void f() {\n  }\n}")
+    assert _tuples(tree.root) == (
+        "file_root", 1, 5, (("type_decl", 1, 5, (("method", 3, 4, ()),)),),
+    )
+
+
+def test_comment_separates_header_tokens():
+    assert _tuples(parse_scopes("class/**/Foo {\n}").root) == (
+        "file_root", 1, 2, (("type_decl", 1, 2, ()),),
+    )
+
+
+def test_escaped_newline_in_literal_counts_its_line():
+    tree = parse_scopes('String s = "a\\\nb";\nclass X {\n}')
+    assert [(n.kind, n.start_line, n.end_line) for n in tree.nodes()] == [
+        ("file_root", 1, 4), ("type_decl", 3, 4),
+    ]
+    assert tree.code_mask == [True, True, True, True]
+
+
+def test_build_input_drops_comment_spanning_lines():
+    lines = (
+        "int f(int a) {",
+        "  int x = a; /* note: old",
+        "  value was b */ int y = x;",
+        "  return y;",
+        "}",
+    )
+    record = make_function(lines, [2])
+    tokens = build_input(record, "vuln+function", ContextConfig())
+    assert tokens == tokenize_code("\n".join(lines))
+    assert "value" not in tokens and "was" not in tokens
+    vuln, _ = build_input(record, "vuln+function", ContextConfig(), double_input=True)
+    assert vuln == ["int", "y", "=", "x", ";"]
+
+
+def test_defuse_slice_ignores_comment_spanning_lines():
+    # "b = a;" sits inside a comment, so it assigns nothing
+    record = make_function(
+        ["int f(int a) {", "  /* b = a;", "  */ int c = b;", "  return c;", "}"], [2]
+    )
+    backward, forward = defuse_slice(record)
+    assert 1 not in backward
+    assert forward == {3}
+
+
+# header pieces: single tokens or balanced groups, so every line's
+# parentheses close and its last boundary ends every header on that line
+HEADER_LEADS = [
+    "class", "if", "for", "try", "public", "void", "f", "x", "@", "=",
+    '"a{b;"', "'}'", '"x\\"y"', "/* { ; */",
+]
+HEADER_PIECES = HEADER_LEADS + [
+    "interface", "else", "while", "catch", "switch", "new", "int", "throws",
+    "( )", "( int a , b )", "( x == y )", "( i = 0 ; i < n ; i ++ )",
+    '( "a;b" , c )', ")", "==", "<=", "->", ",", ".", "<", ">", "[ ]",
+]
+COMMENT_BLOCKS = [[""], ["// { ;"], ["/* a {", "  } ;", "*/"], ["x ; /* {", "*/ y ;"]]
+
+
+@st.composite
+def java_like_source(draw):
+    lines: list[str] = []
+    depth = 0
+    for _ in range(draw(st.integers(0, 12))):
+        step = draw(st.sampled_from(["open", "open", "statement", "close", "comment"]))
+        if step == "comment":
+            lines += draw(st.sampled_from(COMMENT_BLOCKS))
+            continue
+        if step == "close" and (depth or draw(st.integers(0, 9)) == 0):
+            depth -= 1
+            lines.append(draw(st.sampled_from(["}", "} /* ; */", "*/ }"])))
+            continue
+        pieces = [draw(st.sampled_from(HEADER_LEADS))]
+        pieces += draw(st.lists(st.sampled_from(HEADER_PIECES), max_size=4))
+        if step == "open":
+            depth += 1
+            pieces.append(draw(st.sampled_from(["{", "{ // }"])))
+        else:
+            pieces.append(draw(st.sampled_from([";", "; // {"])))
+        lines.append(draw(st.sampled_from(["", "  ", "\t"])) + " ".join(pieces))
+    lines += ["}"] * max(depth, 0)
+    return "\n".join(lines)
+
+
+def _scopes_or_error(parse, source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return parse(source)
+        except ValueError as exc:
+            return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(java_like_source())
+def test_property_parse_scopes_matches_reference(source):
+    # headers sit on one line and no literal holds an escaped newline;
+    # mostly balanced, sometimes a stray closing brace
+    ours = _scopes_or_error(parse_scopes, source)
+    expected = _scopes_or_error(oracles.parse_scopes, source)
+    if isinstance(ours, str):
+        assert ours == expected
+    else:
+        assert (_tuples(ours.root), ours.code_mask) == expected

@@ -1,7 +1,9 @@
 import pathlib
+import warnings
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svassess.porter import porter_stem
@@ -10,6 +12,8 @@ from svassess.textprep import (
     code_line_mask,
     default_stopwords,
     preprocess_text,
+    scan_code,
+    scan_lines,
     strip_noncode_lines,
     tokenize_code,
 )
@@ -173,3 +177,80 @@ def test_code_line_mask_string_shields_comment_markers():
 def test_code_line_mask_code_before_block_comment():
     mask = code_line_mask(["x=1; /* start", "middle", "end */ y=2;"])
     assert mask == [True, False, True]
+
+
+def test_code_line_mask_literal_over_escaped_newline_marks_both_lines():
+    # the literal "a\<newline>/* b */" continues onto the second line
+    with pytest.warns(UserWarning):
+        assert code_line_mask(['s = "a\\', '/* b */']) == [True, True]
+    assert code_line_mask(['s = "a\\', 'b";', "// c"]) == [True, True, False]
+
+
+def test_scan_code_lines():
+    tokens, lines = scan_code('a /* x\n y */ b\n"c\\\nd" e\n\n f')
+    assert tokens == ["a", "b", '"c\\\nd"', "e", "f"]
+    assert lines == [1, 2, 3, 4, 6]
+    assert scan_code("") == ([], [])
+
+
+def test_scan_code_comment_separates_tokens():
+    assert tokenize_code("a/**/b") == ["a", "b"]
+    assert tokenize_code("x-/* */-y") == ["x", "-", "-", "y"]
+
+
+def test_scan_code_non_decimal_digit_starts_a_number():
+    assert tokenize_code("x=\u00b2ab.c+1") == ["x", "=", "\u00b2ab.c", "+", "1"]
+    assert tokenize_code("\u00e9x") == ["\u00e9", "x"]
+
+
+def test_scan_lines_splits_one_scan_per_line():
+    # the comment opened on line 1 hides "b = a;" on line 2
+    assert scan_lines(["x; /* c", "b = a; */ y;", "", '"s"']) == (
+        [["x", ";"], ["y", ";"], [], ['"s"']],
+        [True, True, False, True],
+    )
+    assert scan_lines([]) == ([], [])
+
+
+def test_scan_lines_keeps_a_line_holding_line_breaks_whole():
+    assert scan_lines(["a;", "use(b);\n// c\nmore(d);", "e;"]) == (
+        [["a", ";"], ["use", "(", "b", ")", ";", "more", "(", "d", ")", ";"], ["e", ";"]],
+        [True, True, True],
+    )
+    assert code_line_mask(["a;", "\n// b", "c;"]) == [True, False, True]
+
+
+# pieces that meet every lexing rule when concatenated without separators
+LEX_PIECES = [
+    "foo", "x1", "$v", "_", "12", "0x1F", "3.5e", "\u00b2", "\u00e9",
+    '"', "'", "\\", "//", "/*", "*/", "/", "*",
+    "{", "}", "(", ")", ";", ".", "...", ",",
+    "=", "==", "!", ">", ">>>=", "<", "-", "->", "--", "+", "&", "|", ":",
+    " ", "\t", "\n", "\r",
+]
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=30))
+def test_property_tokenize_code_matches_reference_lexer(pieces):
+    text = "".join(pieces)
+    assert _with_warnings(tokenize_code, text) == _with_warnings(oracles.tokenize_code, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=30))
+def test_property_code_line_mask_matches_reference(pieces):
+    text = "".join(pieces)
+    # a literal continued over an escaped newline now marks each line it spans
+    assume("\\\n" not in text)
+    lines = text.split("\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert code_line_mask(lines) == oracles.code_line_mask(lines)
