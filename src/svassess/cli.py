@@ -45,11 +45,14 @@ from .features import (
 )
 from .models import (
     CLASSIFIER_KINDS,
+    LINEAR_KINDS,
     ClassifierSpec,
     TrainedModel,
     predict,
     standard_classifier_grid,
     train_classifier,
+    train_linear_stack,
+    training_set,
 )
 from .neural import (
     AcGruConfig,
@@ -60,7 +63,7 @@ from .neural import (
     multitask_loss,
 )
 from .pumine import ContentFilterConfig, content_filter_jsonl, load_keywords
-from .scopes import CONTEXT_MODES, ContextConfig, build_input, context_indices
+from .scopes import CONTEXT_MODES, ContextConfig, context_indices, input_tokens
 from .textprep import preprocess_text, tokenize_code
 
 logger = logging.getLogger("svassess")
@@ -92,6 +95,15 @@ COST_PER_RECORD = {
 
 class UsageError(Exception):
     pass
+
+
+class ConfigValueError(ValueError):
+    """A config value the subcommand cannot use; `main` reports it against
+    its key and the config file or command line it came from."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,7 +232,7 @@ def write_manifest(cfg: PipelineConfig) -> None:
 
 def _require_dataset(cfg: PipelineConfig) -> str:
     if not cfg.dataset:
-        raise ValueError(f"{cfg.command} needs a dataset (--dataset or config)")
+        raise ConfigValueError("dataset", f"{cfg.command} needs a dataset (--dataset or config)")
     return cfg.dataset
 
 
@@ -315,6 +327,11 @@ def _cmd_ingest(cfg: PipelineConfig) -> int:
 
 
 def _cmd_featurize(cfg: PipelineConfig) -> int:
+    if len(cfg.feature_configs) > 1:
+        raise ConfigValueError(
+            "feature_configs",
+            f"featurize fits one feature config, got {list(cfg.feature_configs)}",
+        )
     ds = load_dataset(_require_dataset(cfg), cfg.granularity)
     docs = [_tokenize(r, cfg.granularity) for r in ds]
     nlp = standard_configs()[cfg.feature_configs[0] - 1]
@@ -349,11 +366,12 @@ def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
     error text of the point's first failing fold.
 
     Each feature config is fitted once per fold; the fold's matrices serve
-    every task and classifier on that config, then are dropped.  A
-    `ValueError` (a data condition: a single-class fold, k above the
-    sample count) fails the point and skips its later folds - raised by
-    featurizing, every live point of the config.  Other exceptions are
-    bugs and propagate.
+    every task and classifier on that config, then are dropped.  The
+    fold's linear points train together in one `train_linear_stack` pass;
+    each is checked alone first.  A `ValueError` (a data condition: a
+    single-class fold, k above the sample count) fails the point and
+    skips its later folds - raised by featurizing, every live point of the
+    config.  Other exceptions are bugs and propagate.
     """
     results = {
         (task, point): [] for task, points in points_by_task.items() for point in points
@@ -379,16 +397,29 @@ def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
                 for key in live:
                     fail(key, exc)
                 continue
-            for task, point in live:
-                task_labels = labels[task]
+
+            def score(key, clf):
+                gold = [labels[key[0]][i] for i in fold.val_ids]
+                results[key].append(compute_metrics(gold, predict(clf, val)[0]))
+
+            linear = {}  # key -> (spec, classes, y) of the fold's stacked fit
+            for key in live:
+                spec = key[1].classifier
+                y = [labels[key[0]][i] for i in fold.train_ids]
                 try:
-                    y = [task_labels[i] for i in fold.train_ids]
-                    clf = train_classifier(point.classifier, train, y, seed=seed)
-                    predicted, _ = predict(clf, val)
-                    gold = [task_labels[i] for i in fold.val_ids]
-                    results[task, point].append(compute_metrics(gold, predicted))
+                    if spec.kind in LINEAR_KINDS:
+                        linear[key] = (spec, *training_set(train, y)[1:])
+                    else:
+                        score(key, train_classifier(spec, train, y, seed=seed))
                 except ValueError as exc:
-                    fail((task, point), exc)
+                    fail(key, exc)
+            if linear:
+                fitted = train_linear_stack(train, list(linear.values()), seed)
+                for key, clf in zip(linear, fitted):
+                    try:
+                        score(key, clf)
+                    except ValueError as exc:
+                        fail(key, exc)
     return results
 
 
@@ -583,7 +614,7 @@ def _cmd_context(cfg: PipelineConfig) -> int:
     lines = []
     for record in ds:
         vuln, ctx = context_indices(record, cfg.mode, context_cfg, seed=cfg.seed)
-        tokens = build_input(record, cfg.mode, context_cfg, seed=cfg.seed)
+        tokens = input_tokens(record, cfg.mode, vuln, ctx)
         lines.append(
             json.dumps(
                 {
@@ -729,8 +760,13 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, FileNotFoundError) as exc:
-        logger.error("%s failed: %s", cfg.command, exc)
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, ConfigValueError):
+            from_file = ns.config and getattr(ns, exc.key, None) is None
+            where = ns.config if from_file else "command line"
+            message = f"{where}, key {exc.key!r}: {message}"
+        logger.error("%s failed: %s", cfg.command, message)
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         logger.exception("%s crashed", cfg.command)

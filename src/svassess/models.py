@@ -6,7 +6,12 @@ oversampling.
 
 The SGD schedule (log or hinge loss, L2 strength 1/C, 100 epochs,
 learning rate 0.01 with 1/t decay over the global update counter) is
-part of the contract: two runs with one seed are bit-identical.
+part of the contract: two runs with one seed are bit-identical.  A
+sample's margin is the plain sum, in support order, of its values times
+the weights, not a BLAS product, whose summation order would change with
+the number of columns; so fits that share rows and seed train in one
+pass (`train_linear_stack`), and each comes out bit for bit as if it had
+trained alone.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from scipy import sparse
 from .corpus import from_fields
 
 CLASSIFIER_KINDS = ("naive_bayes", "logistic_regression", "linear_svm", "knn")
+LINEAR_KINDS = ("logistic_regression", "linear_svm")
 # the arrays a model of each kind uses, with their number of dimensions
 KIND_ARRAYS = {
     "naive_bayes": {"class_log_prior": 1, "feature_log_prob": 2},
@@ -180,7 +186,7 @@ def _as_csr(features) -> sparse.csr_matrix:
         mat = sparse.csr_matrix(np.asarray(features, dtype=float))
     if mat.nnz and not np.all(np.isfinite(mat.data)):
         raise ValueError("features contain NaN or infinite values")
-    return mat.astype(float)
+    return mat.astype(float, copy=False)
 
 
 def _encode_labels(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -189,19 +195,27 @@ def _encode_labels(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return classes, np.array([lookup[y] for y in labels], dtype=np.int64)
 
 
-def train_classifier(
-    spec: ClassifierSpec, features, labels: Sequence[str], seed: int = 0
-) -> TrainedModel:
+def training_set(features, labels: Sequence[str]):
+    """The checked matrix, the sorted classes and each row's class index
+    of one fit; raises `ValueError` on a non-finite feature, a row count
+    that differs from the labels' or fewer than two classes."""
     mat = _as_csr(features)
     if mat.shape[0] != len(labels):
         raise ValueError("feature rows and labels differ in length")
     classes, y = _encode_labels(labels)
     if len(classes) < 2:
         raise ValueError("training needs at least two distinct classes")
+    return mat, classes, y
+
+
+def train_classifier(
+    spec: ClassifierSpec, features, labels: Sequence[str], seed: int = 0
+) -> TrainedModel:
+    mat, classes, y = training_set(features, labels)
     if spec.kind == "naive_bayes":
         return _train_naive_bayes(spec, mat, classes, y, seed)
-    if spec.kind in ("logistic_regression", "linear_svm"):
-        return _train_linear_ovr(spec, mat, classes, y, seed)
+    if spec.kind in LINEAR_KINDS:
+        return train_linear_stack(mat, [(spec, classes, y)], seed)[0]
     if spec.kind == "knn":
         if spec.knn_k > mat.shape[0]:
             raise ValueError(
@@ -241,21 +255,39 @@ def _train_naive_bayes(spec, mat, classes, y, seed) -> TrainedModel:
     )
 
 
-def _train_linear_ovr(spec, mat, classes, y, seed) -> TrainedModel:
-    """One-vs-rest linear models, all classes updated per sample.
+def train_linear_stack(
+    features, groups: Sequence[tuple[ClassifierSpec, tuple[str, ...], np.ndarray]], seed: int = 0
+) -> list[TrainedModel]:
+    """One-vs-rest linear models of many (spec, classes, y) groups over
+    one matrix, trained together in one seeded SGD pass.
 
-    Weights use the scale trick (W = s*V) so the L2 decay never touches
-    more than the sample's support; the bias is unregularized.
+    `y` holds each row's class index, as `training_set` returns it.  Every
+    group sees the rows in the same `default_rng(seed)` order, so the
+    groups' columns stack side by side and each trains as it would alone:
+    every column keeps its own L2 strength 1/C and scale (W = s*V, so the
+    decay never touches more than the sample's support), and a group with
+    a zero gradient in a step where another's is not adds exact zeros.
+    The bias is unregularized.  Log-loss columns come first, hinge columns
+    after them, so `exp` never runs on a hinge column.
     """
-    n_classes, width = len(classes), mat.shape[1]
-    n = mat.shape[0]
-    lam = 1.0 / spec.c
-    hinge = spec.kind == "linear_svm"
-    v = np.zeros((width, n_classes))
-    bias = np.zeros(n_classes)
-    scale = 1.0
-    sign = np.full((n, n_classes), -1.0)
-    sign[np.arange(n), y] = 1.0
+    mat = _as_csr(features)
+    n, width = mat.shape
+    hinge = [spec.kind == "linear_svm" for spec, _, _ in groups]
+    order = sorted(range(len(groups)), key=hinge.__getitem__)
+    starts = np.cumsum([0] + [len(groups[k][1]) for k in order])
+    n_cols = int(starts[-1])
+    n_log = int(starts[hinge.count(False)])
+    lam = np.empty(n_cols)
+    sign = np.full((n, n_cols), -1.0)
+    for k, lo, hi in zip(order, starts[:-1], starts[1:]):
+        spec, _, y = groups[k]
+        lam[lo:hi] = 1.0 / spec.c
+        sign[np.arange(n), lo + y] = 1.0
+    lam_max = lam.max(initial=0.0)
+    v = np.zeros((width, n_cols))
+    bias = np.zeros(n_cols)
+    scale = np.ones(n_cols)
+    g = np.empty(n_cols)
     rows = [
         (mat.indices[mat.indptr[i] : mat.indptr[i + 1]],
          mat.data[mat.indptr[i] : mat.indptr[i + 1]])
@@ -268,32 +300,39 @@ def _train_linear_ovr(spec, mat, classes, y, seed) -> TrainedModel:
             t += 1
             eta = SGD_BASE_LR / t
             cols, vals = rows[i]
-            margins = scale * (vals @ v.take(cols, 0)) + bias
+            # a plain sum over the support: its order does not depend on
+            # how many columns are stacked, as a gemv's order would
+            margins = scale * (vals[:, None] * v.take(cols, 0)).sum(0) + bias
             ys = sign[i]
-            if hinge:
-                g = ys * (ys * margins < 1.0)
-            else:
-                g = ys / (1.0 + np.exp(ys * margins))
+            ym = ys * margins
+            g[:n_log] = ys[:n_log] / (1.0 + np.exp(ym[:n_log]))
+            g[n_log:] = ys[n_log:] * (ym[n_log:] < 1.0)
             factor = 1.0 - eta * lam
-            if factor <= 1e-12:
-                v *= scale * factor
-                scale = 1.0
+            if 1.0 - eta * lam_max <= 1e-12:
+                low = factor <= 1e-12
+                v[:, low] *= scale[low] * factor[low]
+                scale = np.where(low, 1.0, scale * factor)
             else:
                 scale *= factor
             if g.any():
                 v[cols] += vals[:, None] * (g * (eta / scale))
             bias += eta * g
-            if scale < 1e-9:
-                v *= scale
-                scale = 1.0
-    return TrainedModel(
-        kind=spec.kind,
-        labels=classes,
-        spec=spec,
-        seed=seed,
-        coef=np.ascontiguousarray((scale * v).T),
-        intercept=bias,
-    )
+            if scale.min() < 1e-9:
+                tiny = scale < 1e-9
+                v[:, tiny] *= scale[tiny]
+                scale[tiny] = 1.0
+    models = [None] * len(groups)
+    for k, lo, hi in zip(order, starts[:-1], starts[1:]):
+        spec, classes, _ = groups[k]
+        models[k] = TrainedModel(
+            kind=spec.kind,
+            labels=classes,
+            spec=spec,
+            seed=seed,
+            coef=np.ascontiguousarray((scale[lo:hi] * v[:, lo:hi]).T),
+            intercept=bias[lo:hi].copy(),
+        )
+    return models
 
 
 def _scores(model: TrainedModel, mat: sparse.csr_matrix) -> np.ndarray:
@@ -303,7 +342,7 @@ def _scores(model: TrainedModel, mat: sparse.csr_matrix) -> np.ndarray:
         shifted = joint - joint.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         return expd / expd.sum(axis=1, keepdims=True)
-    if model.kind in ("logistic_regression", "linear_svm"):
+    if model.kind in LINEAR_KINDS:
         return np.asarray(mat @ model.coef.T + model.intercept)
     if model.kind == "knn":
         return _knn_votes(model, np.asarray(mat.todense()))

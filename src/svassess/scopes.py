@@ -410,6 +410,18 @@ def build_input(
     'nonvuln_*') tokenize just their own line set.
     """
     vuln_idx, ctx_idx = context_indices(record, mode, config, seed=seed)
+    return input_tokens(record, mode, vuln_idx, ctx_idx, double_input)
+
+
+def input_tokens(
+    record: FunctionRecord,
+    mode: str,
+    vuln_idx: list[int],
+    ctx_idx: list[int],
+    double_input: bool = False,
+):
+    """`build_input` from the indices `context_indices` returned, so a
+    caller that needs both computes the context once."""
     line_tokens = scan_lines(record.lines)[0]
 
     def tokens_of(indices):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from svassess import cli
 from svassess.corpus import CVSS_TASKS
+from svassess.models import ClassifierSpec, train_classifier
 from svassess.pumine import ContentFilterConfig
 
 DATA = Path(__file__).parent / "data" / "synthetic_reports.jsonl"
@@ -122,6 +123,15 @@ def test_ingest_without_dataset_exits_one(tmp_path, capsys):
     assert "needs a dataset" in capsys.readouterr().err
 
 
+def test_missing_dataset_names_where_the_key_was_left_out(tmp_path, small_reports, capsys):
+    assert cli.main(["train", "--out", str(tmp_path / "out")]) == 1
+    assert "command line, key 'dataset': train needs a dataset" in capsys.readouterr().err
+    config = write_config(tmp_path, small_reports, tmp_path / "out")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "dataset": None}))
+    assert cli.main(["train", "--config", str(config)]) == 1
+    assert f"{config}, key 'dataset': train needs a dataset" in capsys.readouterr().err
+
+
 # -- manifest ----------------------------------------------------------------
 
 
@@ -189,6 +199,14 @@ def test_ingest_summary(tmp_path, small_reports, capsys):
     assert summary["date_max"].startswith("2012")
     severity = summary["label_counts"]["Severity"]
     assert sum(severity.values()) == 60
+
+
+def test_featurize_rejects_more_than_one_feature_config(tmp_path, small_reports, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, small_reports, out, feature_configs=[1, 8])
+    assert cli.main(["featurize", "--config", str(config)]) == 1
+    assert f"{config}, key 'feature_configs': featurize fits one" in capsys.readouterr().err
+    assert not (out / "feature_model.json").exists()
 
 
 def test_featurize_artifacts(tmp_path, small_reports):
@@ -300,6 +318,58 @@ def test_fit_features_once_per_config_and_fold(tmp_path, small_reports, monkeypa
     assert cli.main(["evaluate", "--config", str(config)]) == 0
     capsys.readouterr()
     assert len(calls) == len(winners) * 2
+
+
+def test_linear_points_train_in_one_pass_per_config_and_fold(
+    tmp_path, small_reports, monkeypatch, capsys
+):
+    widths = []
+    stack = cli.train_linear_stack
+
+    def counted(features, groups, seed):
+        widths.append(len(groups))
+        return stack(features, groups, seed)
+
+    monkeypatch.setattr(cli, "train_linear_stack", counted)
+    config = write_config(
+        tmp_path,
+        small_reports,
+        tmp_path / "out",
+        feature_configs=[1, 2],
+        classifiers=["naive_bayes", "logistic_regression"],
+    )
+    assert cli.main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    # 2 configs x 2 folds, each pass fitting 7 tasks x 5 C values
+    assert widths == [len(CVSS_TASKS) * 5] * 4
+
+
+def test_linear_point_on_single_class_fold_fails_alone(small_reports, caplog):
+    cfg = cli.PipelineConfig(command="train", dataset=str(small_reports))
+    ds, docs, labels = cli._load_corpus(cfg)
+    plan = cli._split_plan(cfg, ds.records)
+    first = next(iter(plan)).train_ids
+    labels["Severity"].update({i: "Low" for i in first})  # one class on fold 1 only
+    assert len(set(labels["Severity"].values())) > 1
+    points = [cli.GridPoint(1, ClassifierSpec(kind="naive_bayes"))] + [
+        cli.GridPoint(1, ClassifierSpec(kind=kind, c=c))
+        for kind in ("logistic_regression", "linear_svm")
+        for c in (0.1, 10.0)
+    ]
+    with pytest.raises(ValueError) as alone_error:
+        train_classifier(points[1].classifier, [[1.0]] * len(first), ["Low"] * len(first))
+    with caplog.at_level(logging.WARNING, logger="svassess"):
+        scored = cli._score_folds(
+            docs, labels, plan, {"Severity": points, "Integrity": points}, seed=0
+        )
+    for point in points:
+        assert scored["Severity", point] == f"ValueError: {alone_error.value}"
+        alone = cli._score_folds(docs, labels, plan, {"Integrity": [point]}, seed=0)
+        assert scored["Integrity", point] == alone["Integrity", point]
+        assert len(alone["Integrity", point]) == len(plan)
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == len(points)
+    assert all(m.startswith("task 'Severity'") for m in warned)
 
 
 def test_grid_csv_lists_every_point(trained):
@@ -658,8 +728,7 @@ def test_property_input_value_of_another_type_never_exits_two(trained, data):
         code = run(trained, Path(tmp), _set(path, other))
     assert code in (0, 1)
     if code == 1:
-        # a null config key is that key left out; the run then names the key
-        assert file_name in err.getvalue() or (other is None and path[-1] in err.getvalue())
+        assert file_name in err.getvalue()
 
 
 def test_evaluate_accepts_selection_spec_with_default_keys(trained, tmp_path, capsys):

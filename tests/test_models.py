@@ -13,6 +13,9 @@ from svassess.features import (
     standard_configs,
 )
 from svassess.models import (
+    C_GRID,
+    SGD_BASE_LR,
+    SGD_EPOCHS,
     ClassifierSpec,
     TrainedModel,
     cluster_label_table,
@@ -22,6 +25,8 @@ from svassess.models import (
     random_oversample,
     standard_classifier_grid,
     train_classifier,
+    train_linear_stack,
+    training_set,
     ucva_assign,
     xcva_decode,
     xcva_encode,
@@ -119,6 +124,81 @@ def test_linear_small_c_regularizes_harder():
         ClassifierSpec(kind="linear_svm", c=100.0), SEP_X, SEP_Y, seed=0
     )
     assert np.linalg.norm(model.coef) < np.linalg.norm(loose.coef)
+
+
+def _reference_sgd(spec, x, labels, seed):
+    """The documented SGD schedule, one class column and one row at a
+    time, with plain (unscaled) weights."""
+    classes = sorted(set(labels))
+    x = np.asarray(x, dtype=float)
+    coef = np.zeros((len(classes), x.shape[1]))
+    bias = np.zeros(len(classes))
+    order = np.random.default_rng(seed)
+    t = 0
+    for _ in range(SGD_EPOCHS):
+        for i in order.permutation(len(x)):
+            t += 1
+            eta = SGD_BASE_LR / t
+            for c, cls in enumerate(classes):
+                ys = 1.0 if labels[i] == cls else -1.0
+                margin = coef[c] @ x[i] + bias[c]
+                if spec.kind == "linear_svm":
+                    g = ys if ys * margin < 1.0 else 0.0
+                else:
+                    g = ys / (1.0 + math.exp(ys * margin))
+                coef[c] = coef[c] * (1.0 - eta / spec.c) + eta * g * x[i]
+                bias[c] += eta * g
+    return coef, bias
+
+
+@pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
+@pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+def test_linear_fit_follows_the_reference_schedule(kind, c):
+    x = np.abs(SEP_X) * 30.0  # large enough that margins pass the hinge
+    labels = ["a", "b", "c", "a", "b", "c"]
+    model = train_classifier(ClassifierSpec(kind=kind, c=c), x, labels, seed=4)
+    coef, bias = _reference_sgd(model.spec, x, labels, seed=4)
+    assert np.allclose(model.coef, coef, rtol=1e-9, atol=1e-12)
+    assert np.allclose(model.intercept, bias, rtol=1e-9, atol=1e-12)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_stacked_groups_train_as_they_would_alone(data):
+    n = data.draw(st.integers(4, 12), label="rows")
+    width = data.draw(st.integers(1, 6), label="width")
+    cells = data.draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-3, 3, allow_nan=False, width=32)),
+            min_size=n * width,
+            max_size=n * width,
+        )
+    )
+    x = sparse.csr_matrix(np.array(cells, dtype=float).reshape(n, width))
+    seed = data.draw(st.integers(0, 3), label="seed")
+    groups, labelings = [], []
+    for _ in range(data.draw(st.integers(1, 4), label="groups")):
+        kind = data.draw(st.sampled_from(["logistic_regression", "linear_svm"]))
+        # C=0.01 zeroes the weights at t=1, C=100 barely decays them
+        spec = ClassifierSpec(kind=kind, c=data.draw(st.sampled_from(C_GRID)))
+        names = "pqrs"[: data.draw(st.integers(2, 4))]
+        labels = list(names[:2]) + data.draw(
+            st.lists(st.sampled_from(names), min_size=n - 2, max_size=n - 2)
+        )
+        groups.append((spec, *training_set(x, labels)[1:]))
+        labelings.append(labels)
+    stacked = train_linear_stack(x, groups, seed)
+    for (spec, classes, _), labels, model in zip(groups, labelings, stacked):
+        alone = train_classifier(spec, x, labels, seed=seed)
+        assert model.spec == spec and model.labels == classes == alone.labels
+        assert _bitwise_equal(model.coef, alone.coef)
+        assert _bitwise_equal(model.intercept, alone.intercept)
 
 
 def test_prediction_tie_breaks_to_lexicographically_first():
