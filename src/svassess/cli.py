@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corpus import SchemaError, check_value, from_fields, load_dataset, require_keys
+from .corpus import QA_SITES, SchemaError, check_value, from_fields, load_dataset, require_keys
 from .drift import drift_report
 from .evaluation import (
     POLICIES,
@@ -45,14 +45,11 @@ from .features import (
 )
 from .models import (
     CLASSIFIER_KINDS,
-    LINEAR_KINDS,
     ClassifierSpec,
     TrainedModel,
+    fit_many,
     predict,
     standard_classifier_grid,
-    train_classifier,
-    train_linear_stack,
-    training_set,
 )
 from .neural import (
     AcGruConfig,
@@ -62,7 +59,7 @@ from .neural import (
     init_parameters,
     multitask_loss,
 )
-from .pumine import ContentFilterConfig, content_filter_jsonl, load_keywords
+from .pumine import FILTER_STEPS, ContentFilterConfig, content_filter_jsonl, load_keywords
 from .scopes import CONTEXT_MODES, ContextConfig, context_indices, input_tokens
 from .textprep import preprocess_text, tokenize_code
 
@@ -141,6 +138,10 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {CONTEXT_MODES}")
         if self.time_k < 1:
             raise ValueError("time_k must be at least 1")
+        if self.site not in QA_SITES:
+            raise ValueError(f"site must be one of {QA_SITES}")
+        if self.step not in FILTER_STEPS:
+            raise ValueError(f"step must be one of {FILTER_STEPS}")
         n_feature_configs = len(standard_configs())
         if not self.feature_configs or any(
             not (1 <= i <= n_feature_configs) for i in self.feature_configs
@@ -307,7 +308,7 @@ def _cmd_ingest(cfg: PipelineConfig) -> int:
     label_counts: dict[str, dict[str, int]] = {}
     dates = []
     for record in ds:
-        dates.append(getattr(record, "published_date", None) or record.date)
+        dates.append(record.date)
         for task, cls in record.labels.items():
             label_counts.setdefault(task, {}).setdefault(cls, 0)
             label_counts[task][cls] += 1
@@ -366,12 +367,11 @@ def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
     error text of the point's first failing fold.
 
     Each feature config is fitted once per fold; the fold's matrices serve
-    every task and classifier on that config, then are dropped.  The
-    fold's linear points train together in one `train_linear_stack` pass;
-    each is checked alone first.  A `ValueError` (a data condition: a
-    single-class fold, k above the sample count) fails the point and
-    skips its later folds - raised by featurizing, every live point of the
-    config.  Other exceptions are bugs and propagate.
+    every task and classifier on that config in one `fit_many` call, then
+    are dropped.  A `ValueError` (a data condition: a single-class fold, k
+    above the sample count) fails the point and skips its later folds -
+    raised by featurizing, every live point of the config.  Other
+    exceptions are bugs and propagate.
     """
     results = {
         (task, point): [] for task, points in points_by_task.items() for point in points
@@ -398,28 +398,18 @@ def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
                     fail(key, exc)
                 continue
 
-            def score(key, clf):
-                gold = [labels[key[0]][i] for i in fold.val_ids]
-                results[key].append(compute_metrics(gold, predict(clf, val)[0]))
-
-            linear = {}  # key -> (spec, classes, y) of the fold's stacked fit
-            for key in live:
-                spec = key[1].classifier
-                y = [labels[key[0]][i] for i in fold.train_ids]
+            jobs = [
+                (point.classifier, [labels[task][i] for i in fold.train_ids])
+                for task, point in live
+            ]
+            for key, clf in zip(live, fit_many(train, jobs, seed)):
                 try:
-                    if spec.kind in LINEAR_KINDS:
-                        linear[key] = (spec, *training_set(train, y)[1:])
-                    else:
-                        score(key, train_classifier(spec, train, y, seed=seed))
+                    if isinstance(clf, ValueError):
+                        raise clf
+                    gold = [labels[key[0]][i] for i in fold.val_ids]
+                    results[key].append(compute_metrics(gold, predict(clf, val)[0]))
                 except ValueError as exc:
                     fail(key, exc)
-            if linear:
-                fitted = train_linear_stack(train, list(linear.values()), seed)
-                for key, clf in zip(linear, fitted):
-                    try:
-                        score(key, clf)
-                    except ValueError as exc:
-                        fail(key, exc)
     return results
 
 
@@ -434,13 +424,9 @@ def _cmd_train(cfg: PipelineConfig) -> int:
     plan = _split_plan(cfg, ds.records)
     grid = _grid_points(cfg)
     scores = _score_folds(docs, labels, plan, {task: grid for task in ds.tasks}, cfg.seed)
-    all_ids = [r.id for r in ds]
-    full_fits = {}  # "<feature config>" -> (model, matrix) over every record
     out = Path(cfg.out)
-    models_dir = out / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
+    winners = {}  # feature config -> [(task, winning grid result)]
     selected = {}
-    tasks = {}
     for task in ds.tasks:
         table = [
             _grid_row(point, scores[task, point], COST_PER_RECORD[point.classifier.kind] * len(ds))
@@ -450,29 +436,31 @@ def _cmd_train(cfg: PipelineConfig) -> int:
             best = grid_search(table, cfg.policy)
         except ValueError as exc:
             raise ValueError(f"task {task!r}: {exc}") from exc
-        config = best.spec.feature_config
-        if str(config) not in full_fits:
-            nlp = standard_configs()[config - 1]
-            full_fits[str(config)] = _fit_features([docs[i] for i in all_ids], nlp)
-        _, matrix = full_fits[str(config)]
-        classifier = train_classifier(
-            best.spec.classifier, matrix, [labels[task][i] for i in all_ids], seed=cfg.seed
-        )
+        winners.setdefault(best.spec.feature_config, []).append((task, best))
         slug = task.lower().replace(" ", "_")
         (out / f"grid_{slug}.csv").write_text(grid_table_csv(table), encoding="utf-8")
-        tasks[task] = {"feature_config": config, "classifier": classifier.to_dict()}
         selected[task] = {
-            "feature_config": config,
+            "feature_config": best.spec.feature_config,
             "classifier_spec": best.spec.classifier.to_dict(),
             "mean_scores": best.mean_scores,
             "n_folds": best.n_folds,
         }
         print(f"{task}: {best.spec.describe()} acc={best.mean_scores['accuracy']:.4f}")
-    bundle = {
-        "granularity": cfg.granularity,
-        "feature_models": {key: model.to_dict() for key, (model, _) in full_fits.items()},
-        "tasks": tasks,
-    }
+    # refit the winners on every record: one feature fit per winning config,
+    # one `fit_many` call for all of its winners
+    feature_models = {}
+    tasks = {}
+    for config, bests in winners.items():
+        model, matrix = _fit_features(list(docs.values()), standard_configs()[config - 1])
+        feature_models[str(config)] = model.to_dict()
+        jobs = [(best.spec.classifier, list(labels[task].values())) for task, best in bests]
+        for (task, _), clf in zip(bests, fit_many(matrix, jobs, cfg.seed)):
+            if isinstance(clf, ValueError):
+                raise ValueError(f"task {task!r}: {clf}") from clf
+            tasks[task] = {"feature_config": config, "classifier": clf.to_dict()}
+    bundle = {"granularity": cfg.granularity, "feature_models": feature_models, "tasks": tasks}
+    models_dir = out / "models"
+    models_dir.mkdir(parents=True, exist_ok=True)
     (models_dir / BUNDLE_FILE).write_text(
         json.dumps(bundle, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -548,7 +536,7 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
     if not bundle_path.exists():
         raise ValueError(f"no model bundle in {models_dir}; run the train subcommand first")
     bundle = _read_json_object(bundle_path)
-    require_keys(bundle, ("granularity", "feature_models", "tasks"), str(bundle_path))
+    require_keys(bundle, ("granularity", "feature_models", "tasks"), str(bundle_path), exact=True)
     if bundle["granularity"] != "report":
         raise ValueError(
             f"{bundle_path} was trained on granularity {bundle['granularity']!r};"
@@ -561,7 +549,7 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
     assessment = {}
     for task, entry in bundle["tasks"].items():
         where = f"{bundle_path}, task {task!r}"
-        require_keys(entry, ("feature_config", "classifier"), where)
+        require_keys(entry, ("feature_config", "classifier"), where, exact=True)
         try:
             key = str(check_value(entry["feature_config"], int, "key 'feature_config'"))
             if key not in rows:
@@ -583,10 +571,7 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
 
 def _cmd_drift(cfg: PipelineConfig) -> int:
     ds = load_dataset(_require_dataset(cfg), cfg.granularity)
-    dated = []
-    for r in ds:
-        date = getattr(r, "published_date", None) or r.date
-        dated.append((r.id, date.year, _tokenize(r, cfg.granularity)))
+    dated = [(r.id, r.date.year, _tokenize(r, cfg.granularity)) for r in ds]
     last_year = max(year for _, year, _ in dated)
     train_docs = [tokens for _, year, tokens in dated if year < last_year]
     if not train_docs:  # single-year corpus: no held-out year to contrast
@@ -637,8 +622,6 @@ def _cmd_context(cfg: PipelineConfig) -> int:
 def _cmd_mine(cfg: PipelineConfig) -> int:
     if not cfg.keywords:
         raise ValueError("mine needs a keyword list (config key: keywords)")
-    if cfg.step not in (1, 2):
-        raise ValueError("step must be 1 or 2")
     ds = load_dataset(_require_dataset(cfg), "post")
     with open(cfg.keywords, "r", encoding="utf-8") as fh:
         keywords = load_keywords(fh)

@@ -44,7 +44,7 @@ class DiffParseError(ValueError):
 class SvReport:
     id: str
     description: str
-    published_date: datetime.date
+    date: datetime.date
     labels: dict[str, str]
 
 
@@ -285,13 +285,17 @@ def apply_hunks(pre_text: str, hunks: tuple[Hunk, ...]) -> str:
 _SCALAR_TYPES = {str: {str}, int: {int}, float: {int, float}, bool: {bool}}
 
 
-def require_keys(obj, keys, where: str) -> None:
-    """Reject `obj` unless it is a JSON object holding every key of `keys`."""
+def require_keys(obj, keys, where: str, exact: bool = False) -> None:
+    """Reject `obj` unless it is a JSON object holding every key of `keys`
+    and, if `exact`, no other key."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: not a JSON object")
     for key in keys:
         if key not in obj:
             raise SchemaError(f"{where}: missing key {key!r}")
+    unknown = obj.keys() - set(keys) if exact else ()
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def check_value(value, hint, where: str):
@@ -397,7 +401,7 @@ def _record_from_json(obj: dict, kind: str, where: str):
         return SvReport(
             id=str(obj["id"]),
             description=obj["description"],
-            published_date=_parse_date(obj["date"], where),
+            date=_parse_date(obj["date"], where),
             labels=_parse_labels(obj["labels"], where),
         )
     if kind == "function":
@@ -496,7 +500,7 @@ def serialize_dataset(dataset: Dataset) -> str:
             obj = {
                 "id": rec.id,
                 "description": rec.description,
-                "date": rec.published_date.isoformat(),
+                "date": rec.date.isoformat(),
                 "labels": rec.labels,
             }
         elif dataset.kind == "function":

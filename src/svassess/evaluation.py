@@ -42,13 +42,7 @@ class SplitPlan:
 
 
 def _id_and_date(record) -> tuple[str, datetime.date]:
-    if isinstance(record, tuple):
-        rid, raw = record
-    else:
-        rid = record.id
-        raw = getattr(record, "date", None)
-        if raw is None:
-            raw = record.published_date
+    rid, raw = record if isinstance(record, tuple) else (record.id, record.date)
     if isinstance(raw, str):
         raw = datetime.date.fromisoformat(raw)
     return str(rid), raw

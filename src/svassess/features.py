@@ -189,9 +189,10 @@ class FeatureModel:
 
     @classmethod
     def from_dict(cls, obj: dict, where: str = "feature model") -> "FeatureModel":
-        """Rebuild a model, rejecting a missing key, a value of the wrong
-        type, and an idf that does not fit its columns or its weighting."""
-        require_keys(obj, ("config", "word_vocab", "char_vocab", "idf"), where)
+        """Rebuild a model, rejecting a missing or unknown key, a value of
+        the wrong type, and an idf that does not fit its columns or its
+        weighting."""
+        require_keys(obj, ("config", "word_vocab", "char_vocab", "idf"), where, exact=True)
         config = from_fields(NlpConfig, obj["config"], f"{where}, key 'config'")
         word_terms = check_value(obj["word_vocab"], tuple[str, ...], f"{where}, key 'word_vocab'")
         char_terms = check_value(obj["char_vocab"], tuple[str, ...], f"{where}, key 'char_vocab'")

@@ -11,7 +11,8 @@ sample's margin is the plain sum, in support order, of its values times
 the weights, not a BLAS product, whose summation order would change with
 the number of columns; so fits that share rows and seed train in one
 pass (`train_linear_stack`), and each comes out bit for bit as if it had
-trained alone.
+trained alone.  `fit_many` is the one entry point for fitting many
+classifiers of any kind on one matrix; it alone decides which stack.
 """
 
 from __future__ import annotations
@@ -208,28 +209,58 @@ def training_set(features, labels: Sequence[str]):
     return mat, classes, y
 
 
+def fit_many(
+    features, jobs: Sequence[tuple[ClassifierSpec, Sequence[str]]], seed: int = 0
+) -> list[TrainedModel | ValueError]:
+    """Every (spec, labels) job fitted on one matrix: each job's model, or
+    the `ValueError` its data raises (see `training_set`; naive Bayes on a
+    negative feature; kNN with k above the rows).  Other exceptions
+    propagate.
+
+    Each job is checked alone; the linear jobs then train together in one
+    `train_linear_stack` pass, and every kNN model stores the one dense
+    copy of the matrix.  Each model equals `train_classifier` of its job
+    bit for bit.
+    """
+    fitted: list = [None] * len(jobs)
+    linear = {}  # job index -> (spec, classes, y)
+    dense = None
+    for j, (spec, labels) in enumerate(jobs):
+        try:
+            mat, classes, y = training_set(features, labels)
+            if spec.kind == "naive_bayes":
+                fitted[j] = _train_naive_bayes(spec, mat, classes, y, seed)
+            elif spec.kind in LINEAR_KINDS:
+                linear[j] = (spec, classes, y)
+            elif spec.knn_k > mat.shape[0]:
+                raise ValueError(f"knn k={spec.knn_k} exceeds {mat.shape[0]} stored samples")
+            else:
+                if dense is None:
+                    dense = np.asarray(mat.todense())
+                fitted[j] = TrainedModel(
+                    kind="knn",
+                    labels=classes,
+                    spec=spec,
+                    seed=seed,
+                    neighbors_x=dense,
+                    neighbors_y=y,
+                )
+        except ValueError as exc:
+            fitted[j] = exc
+    if linear:
+        for j, model in zip(linear, train_linear_stack(features, list(linear.values()), seed)):
+            fitted[j] = model
+    return fitted
+
+
 def train_classifier(
     spec: ClassifierSpec, features, labels: Sequence[str], seed: int = 0
 ) -> TrainedModel:
-    mat, classes, y = training_set(features, labels)
-    if spec.kind == "naive_bayes":
-        return _train_naive_bayes(spec, mat, classes, y, seed)
-    if spec.kind in LINEAR_KINDS:
-        return train_linear_stack(mat, [(spec, classes, y)], seed)[0]
-    if spec.kind == "knn":
-        if spec.knn_k > mat.shape[0]:
-            raise ValueError(
-                f"knn k={spec.knn_k} exceeds {mat.shape[0]} stored samples"
-            )
-        return TrainedModel(
-            kind="knn",
-            labels=classes,
-            spec=spec,
-            seed=seed,
-            neighbors_x=np.asarray(mat.todense()),
-            neighbors_y=y,
-        )
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    """One fit, the one-job case of `fit_many`; raises its `ValueError`."""
+    (model,) = fit_many(features, [(spec, labels)], seed)
+    if isinstance(model, ValueError):
+        raise model
+    return model
 
 
 def _train_naive_bayes(spec, mat, classes, y, seed) -> TrainedModel:

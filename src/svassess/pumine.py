@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import QA_SITES
 from .models import ClassifierSpec, TrainedModel, predict, train_classifier
 from .porter import porter_stem
 
-SITES = ("SO", "SSE")
 FILTER_STEPS = (1, 2)
 EXACT_MATCH_MAX_LEN = 3
 TOPIC_THRESHOLD = 0.1
@@ -71,7 +71,7 @@ class ContentFilterConfig:
 
     def __post_init__(self):
         for key, (a, b) in self.thresholds.items():
-            if key[0] not in SITES or key[1] not in FILTER_STEPS:
+            if key[0] not in QA_SITES or key[1] not in FILTER_STEPS:
                 raise ValueError(f"unknown site/step pair {key!r}")
             if not isinstance(a, int) or a < 0:
                 raise ValueError(f"{key}: min count must be a non-negative integer")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 import string
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -35,14 +34,6 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
-@dataclass(frozen=True)
-class PrepConfig:
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
-    lowercase: bool = True
-    stem: bool = True
-    keep_inner_punct: bool = True
-
-
 def _stem_fixpoint(word: str) -> str:
     # Stemming is applied until stable so preprocessing is idempotent
     # (a single Porter pass can expose a further strippable suffix).
@@ -53,30 +44,26 @@ def _stem_fixpoint(word: str) -> str:
         word = stemmed
 
 
-def preprocess_text(text: str, config: PrepConfig | None = None) -> list[str]:
+def preprocess_text(text: str) -> list[str]:
     """Text -> cleaned token sequence.
 
     Punctuation is removed only where it trails a whitespace-delimited
     chunk (i.e. is followed by whitespace or ends the text), applied to a
-    fixpoint; interior punctuation survives unless keep_inner_punct is
-    off.  Stopwords are dropped both before and after stemming (a stem
-    can itself be a stopword, e.g. willing -> will).
+    fixpoint; interior punctuation survives.  Chunks are lowercased, and
+    alphabetic ASCII ones stemmed.  Stopwords are dropped both before and
+    after stemming (a stem can itself be a stopword, e.g. willing -> will).
     """
-    if config is None:
-        config = PrepConfig()
+    stopwords = default_stopwords()
     out: list[str] = []
     for chunk in text.split():
         while chunk and chunk[-1] in _PUNCT:
             chunk = chunk[:-1]
-        if not config.keep_inner_punct:
-            chunk = "".join(c for c in chunk if c not in _PUNCT)
-        if config.lowercase:
-            chunk = chunk.lower()
-        if not chunk or chunk in config.stopwords:
+        chunk = chunk.lower()
+        if not chunk or chunk in stopwords:
             continue
-        if config.stem and chunk.isascii() and chunk.isalpha():
+        if chunk.isascii() and chunk.isalpha():
             chunk = _stem_fixpoint(chunk)
-            if chunk in config.stopwords:
+            if chunk in stopwords:
                 continue
         out.append(chunk)
     return out

@@ -14,7 +14,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svassess import cli
+from svassess import cli, models
 from svassess.corpus import CVSS_TASKS
 from svassess.models import ClassifierSpec, train_classifier
 from svassess.pumine import ContentFilterConfig
@@ -249,7 +249,7 @@ def test_train_programming_error_exits_two(tmp_path, small_reports, monkeypatch,
     def broken(*args, **kwargs):
         raise TypeError("bad argument")
 
-    monkeypatch.setattr(cli, "train_classifier", broken)
+    monkeypatch.setattr(cli, "fit_many", broken)
     config = write_config(tmp_path, small_reports, tmp_path / "out")
     assert cli.main(["train", "--config", str(config)]) == 2
     assert "TypeError: bad argument" in capsys.readouterr().err
@@ -320,28 +320,54 @@ def test_fit_features_once_per_config_and_fold(tmp_path, small_reports, monkeypa
     assert len(calls) == len(winners) * 2
 
 
-def test_linear_points_train_in_one_pass_per_config_and_fold(
-    tmp_path, small_reports, monkeypatch, capsys
-):
+def _train_stack_widths(tmp_path, small_reports, monkeypatch, classifiers):
+    """Train on configs 1 and 2; the group count of every stacked SGD
+    pass in call order, and each winning config's linear winner count."""
     widths = []
-    stack = cli.train_linear_stack
+    stack = models.train_linear_stack
 
     def counted(features, groups, seed):
         widths.append(len(groups))
         return stack(features, groups, seed)
 
-    monkeypatch.setattr(cli, "train_linear_stack", counted)
+    monkeypatch.setattr(models, "train_linear_stack", counted)
+    out = tmp_path / "out"
     config = write_config(
-        tmp_path,
-        small_reports,
-        tmp_path / "out",
-        feature_configs=[1, 2],
-        classifiers=["naive_bayes", "logistic_regression"],
+        tmp_path, small_reports, out, feature_configs=[1, 2], classifiers=classifiers
     )
     assert cli.main(["train", "--config", str(config)]) == 0
+    selected = json.loads((out / "selected.json").read_text(encoding="utf-8"))
+    linear_winners = {}
+    for choice in selected.values():
+        if choice["classifier_spec"]["kind"] == "logistic_regression":
+            fc = choice["feature_config"]
+            linear_winners[fc] = linear_winners.get(fc, 0) + 1
+    return widths, linear_winners
+
+
+def test_linear_points_train_in_one_pass_per_config_and_fold(
+    tmp_path, small_reports, monkeypatch, capsys
+):
+    widths, linear_winners = _train_stack_widths(
+        tmp_path, small_reports, monkeypatch, ["naive_bayes", "logistic_regression"]
+    )
     capsys.readouterr()
-    # 2 configs x 2 folds, each pass fitting 7 tasks x 5 C values
-    assert widths == [len(CVSS_TASKS) * 5] * 4
+    # 2 configs x 2 folds, each pass fitting 7 tasks x 5 C values, then
+    # one refit pass per winning config for all of its linear winners
+    assert widths[:4] == [len(CVSS_TASKS) * 5] * 4
+    assert sorted(widths[4:]) == sorted(linear_winners.values())
+
+
+def test_linear_winners_refit_in_one_pass_per_config(
+    tmp_path, small_reports, monkeypatch, capsys
+):
+    widths, linear_winners = _train_stack_widths(
+        tmp_path, small_reports, monkeypatch, ["logistic_regression"]
+    )
+    capsys.readouterr()
+    assert sum(linear_winners.values()) == len(CVSS_TASKS)
+    assert widths[:4] == [len(CVSS_TASKS) * 5] * 4
+    assert sorted(widths[4:]) == sorted(linear_winners.values())
 
 
 def test_linear_point_on_single_class_fold_fails_alone(small_reports, caplog):
@@ -697,6 +723,10 @@ EDITED_INPUTS = {
         ("bundle", ("tasks", "Severity", "classifier", "foo"), 1, "'foo'"),
         # a classifier whose kind no longer fits its spec and arrays
         ("bundle", ("tasks", "Severity", "classifier", "kind"), "logistic_regression", "'spec'"),
+        # keys train never writes, outside the typed objects too
+        ("bundle", ("note",), 1, "'note'"),
+        ("bundle", ("tasks", "Severity", "note"), 1, "'note'"),
+        ("bundle", ("feature_models", "1", "extra"), 1, "'extra'"),
     ],
 )
 def test_mistyped_value_or_unknown_key_exits_one_naming_file_and_key(
@@ -909,6 +939,20 @@ def test_mine_without_keywords_exits_one(tmp_path, posts_dataset, capsys):
     config = write_config(tmp_path, posts_dataset, tmp_path / "out")
     assert cli.main(["mine", "--config", str(config)]) == 1
     assert "keyword" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("step", 3), ("site", "XX")])
+def test_mine_unknown_site_or_step_exits_one_naming_config(
+    tmp_path, posts_dataset, capsys, key, value
+):
+    keywords = tmp_path / "keywords.txt"
+    keywords.write_text("injection\n", encoding="utf-8")
+    config = write_config(
+        tmp_path, posts_dataset, tmp_path / "out", keywords=str(keywords), **{key: value}
+    )
+    assert cli.main(["mine", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: {key} must be one of" in err
 
 
 # -- gradcheck ---------------------------------------------------------------

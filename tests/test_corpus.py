@@ -149,7 +149,7 @@ def test_load_report_dataset(tmp_path):
     assert len(ds) == 1
     rec = ds.records[0]
     assert isinstance(rec, SvReport)
-    assert rec.published_date == datetime.date(2015, 3, 1)
+    assert rec.date == datetime.date(2015, 3, 1)
     assert set(ds.tasks) == set(CVSS_TASKS)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from svassess.models import (
     ClassifierSpec,
     TrainedModel,
     cluster_label_table,
+    fit_many,
     kmeans_assign,
     kmeans_fit,
     predict,
@@ -199,6 +201,80 @@ def test_property_stacked_groups_train_as_they_would_alone(data):
         assert model.spec == spec and model.labels == classes == alone.labels
         assert _bitwise_equal(model.coef, alone.coef)
         assert _bitwise_equal(model.intercept, alone.intercept)
+
+
+def _same_model(a: TrainedModel, b: TrainedModel) -> bool:
+    for f in dataclasses.fields(TrainedModel):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or x.dtype != y.dtype or not _bitwise_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_fit_many_equals_each_job_fitted_alone(data):
+    n = data.draw(st.integers(3, 12), label="rows")
+    width = data.draw(st.integers(1, 5), label="width")
+    low = data.draw(st.sampled_from([0.0, -3.0]), label="lowest value")  # < 0 fails NB
+    cells = data.draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(low, 3, allow_nan=False, width=32)),
+            min_size=n * width,
+            max_size=n * width,
+        )
+    )
+    x = sparse.csr_matrix(np.array(cells, dtype=float).reshape(n, width))
+    seed = data.draw(st.integers(0, 3), label="seed")
+    # k from 1 up to above the row count; some labelings hold one class
+    specs = st.one_of(
+        st.builds(ClassifierSpec, kind=st.just("naive_bayes")),
+        st.builds(
+            ClassifierSpec,
+            kind=st.sampled_from(["logistic_regression", "linear_svm"]),
+            c=st.sampled_from(C_GRID),
+        ),
+        st.builds(
+            ClassifierSpec,
+            kind=st.just("knn"),
+            knn_k=st.integers(1, 14),
+            knn_weight=st.sampled_from(["uniform", "distance"]),
+            knn_norm=st.sampled_from([1, 2]),
+        ),
+    )
+    jobs = data.draw(
+        st.lists(
+            st.tuples(specs, st.lists(st.sampled_from("pqr"), min_size=n, max_size=n)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    for (spec, labels), fitted in zip(jobs, fit_many(x, jobs, seed)):
+        try:
+            alone = train_classifier(spec, x, labels, seed=seed)
+        except ValueError as exc:
+            assert isinstance(fitted, ValueError) and str(fitted) == str(exc)
+        else:
+            assert isinstance(fitted, TrainedModel) and _same_model(fitted, alone)
+
+
+def test_fit_many_knn_models_share_one_dense_matrix():
+    x = sparse.csr_matrix(np.abs(SEP_X))
+    other = ["a", "b", "a", "b", "a", "b"]
+    jobs = [(ClassifierSpec(kind="naive_bayes"), SEP_Y)] + [
+        (ClassifierSpec(kind="knn", knn_k=k, knn_norm=norm), labels)
+        for k in (1, 3)
+        for norm in (1, 2)
+        for labels in (SEP_Y, other)
+    ]
+    fitted = fit_many(x, jobs)
+    knn = [model for model in fitted if model.kind == "knn"]
+    assert len(knn) == 8
+    assert all(model.neighbors_x is knn[0].neighbors_x for model in knn)
+    assert np.array_equal(knn[0].neighbors_x, x.toarray())
 
 
 def test_prediction_tie_breaks_to_lexicographically_first():

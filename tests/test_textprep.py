@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from svassess.porter import porter_stem
 from svassess.textprep import (
-    PrepConfig,
     code_line_mask,
     default_stopwords,
     preprocess_text,
@@ -62,11 +61,6 @@ def test_preprocess_keeps_inner_punctuation():
     assert "input.c" in toks
 
 
-def test_preprocess_inner_punct_off():
-    config = PrepConfig(keep_inner_punct=False)
-    assert preprocess_text("input.c", config) == ["inputc"]
-
-
 def test_preprocess_trailing_punct_to_fixpoint():
     assert preprocess_text("overflow...") == ["overflow"]
     assert preprocess_text("(see notes)") == ["(see", "note"]
@@ -75,11 +69,6 @@ def test_preprocess_trailing_punct_to_fixpoint():
 def test_preprocess_stopword_created_by_stemming_dropped():
     # willing stems to will, which is a stopword
     assert preprocess_text("willing") == []
-
-
-def test_preprocess_flags_off():
-    config = PrepConfig(stopwords=frozenset(), lowercase=False, stem=False)
-    assert preprocess_text("The Attacker", config) == ["The", "Attacker"]
 
 
 def test_default_stopwords_lowercase():
