@@ -4,6 +4,11 @@ per filter size applied to each of four code inputs, task-specific
 ReLU blocks and softmax heads, summed cross-entropy loss, analytic
 backpropagation, and bias-corrected Adam.
 
+A minibatch runs as one pass: the four inputs of every sample share the
+branch weights, so per filter size all their sequences go through one
+convolution, one GRU recurrence and one attention step together, and
+backward sums the parameter gradients over them with matrix products.
+
 Everything is float64 and seeded; training twice with one seed produces
 bit-identical parameters and history.
 """
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import from_fields
+from .corpus import SchemaError, check_value, from_fields, require_keys
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -123,6 +128,34 @@ def _glorot(rng, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def parameter_shapes(config: AcGruConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter array's name and shape, in the order
+    `init_parameters` draws them."""
+    l, f, h, a = (
+        config.embed_dim,
+        config.filters_per_size,
+        config.gru_hidden,
+        config.attention_hidden,
+    )
+    shapes: dict[str, tuple[int, ...]] = {"embedding": (config.vocab_size, l)}
+    for k in config.filter_sizes:
+        shapes[f"conv{k}_w"] = (k * l, f)
+        shapes[f"conv{k}_b"] = (f,)
+        for gate in ("z", "r", "h"):
+            shapes[f"gru{k}_w{gate}"] = (f, h)
+            shapes[f"gru{k}_u{gate}"] = (h, h)
+            shapes[f"gru{k}_b{gate}"] = (h,)
+    shapes["att_wa"] = (h, a)
+    shapes["att_ba"] = (a,)
+    shapes["att_ws"] = (a,)
+    for name, nlabels in config.tasks:
+        shapes[f"task_{name}_w"] = (config.commit_width, h)
+        shapes[f"task_{name}_b"] = (h,)
+        shapes[f"head_{name}_w"] = (h, nlabels)
+        shapes[f"head_{name}_b"] = (nlabels,)
+    return shapes
+
+
 def init_parameters(config: AcGruConfig, rng=None) -> Parameters:
     """Embedding U(-0.05, 0.05), Glorot-uniform weights, zero biases.
 
@@ -131,68 +164,57 @@ def init_parameters(config: AcGruConfig, rng=None) -> Parameters:
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    l, f, h, a = (
-        config.embed_dim,
-        config.filters_per_size,
-        config.gru_hidden,
-        config.attention_hidden,
-    )
     data: dict[str, np.ndarray] = {}
-    data["embedding"] = rng.uniform(-0.05, 0.05, size=(config.vocab_size, l))
-    for k in config.filter_sizes:
-        data[f"conv{k}_w"] = _glorot(rng, (k * l, f))
-        data[f"conv{k}_b"] = np.zeros(f)
-        for gate in ("z", "r", "h"):
-            data[f"gru{k}_w{gate}"] = _glorot(rng, (f, h))
-            data[f"gru{k}_u{gate}"] = _glorot(rng, (h, h))
-            data[f"gru{k}_b{gate}"] = np.zeros(h)
-    data["att_wa"] = _glorot(rng, (h, a))
-    data["att_ba"] = np.zeros(a)
-    data["att_ws"] = _glorot(rng, (a,))
-    width = config.commit_width
-    for name, nlabels in config.tasks:
-        data[f"task_{name}_w"] = _glorot(rng, (width, h))
-        data[f"task_{name}_b"] = np.zeros(h)
-        data[f"head_{name}_w"] = _glorot(rng, (h, nlabels))
-        data[f"head_{name}_b"] = np.zeros(nlabels)
+    for name, shape in parameter_shapes(config).items():
+        if name == "embedding":
+            data[name] = rng.uniform(-0.05, 0.05, size=shape)
+        elif name.rsplit("_", 1)[1].startswith("b"):  # conv{k}_b, gru{k}_bz, att_ba, ...
+            data[name] = np.zeros(shape)
+        else:
+            data[name] = _glorot(rng, shape)
     return Parameters(data=data)
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max()
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum()
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """`a` with every axis but the last flattened into rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b over the last axis of x, as one matrix product."""
+    return (_rows(x) @ w + b).reshape(*x.shape[:-1], w.shape[1])
 
 
 def _branch_forward(params: Parameters, emb: np.ndarray, k: int):
-    """conv(k)+ReLU over embedding rows, GRU over the feature map,
-    attention-weighted sum of hidden states."""
-    n = emb.shape[0]
-    t_steps = n - k + 1
-    windows = np.concatenate([emb[off : off + t_steps] for off in range(k)], axis=1)
-    conv_pre = windows @ params[f"conv{k}_w"] + params[f"conv{k}_b"]
+    """conv(k)+ReLU over the embedding rows of every sequence, one GRU
+    recurrence over all their feature maps, and each sequence's
+    attention-weighted sum of its hidden states.
+
+    `emb` is time-major, (input_len, sequences, embed_dim), and so is
+    every cached array: time first, sequence second."""
+    t_steps = emb.shape[0] - k + 1
+    windows = np.concatenate([emb[off : off + t_steps] for off in range(k)], axis=2)
+    conv_pre = _affine(windows, params[f"conv{k}_w"], params[f"conv{k}_b"])
     x = np.maximum(conv_pre, 0.0)
 
-    wz, wr, wh = params[f"gru{k}_wz"], params[f"gru{k}_wr"], params[f"gru{k}_wh"]
     uz, ur, uh = params[f"gru{k}_uz"], params[f"gru{k}_ur"], params[f"gru{k}_uh"]
-    bz, br, bh = params[f"gru{k}_bz"], params[f"gru{k}_br"], params[f"gru{k}_bh"]
-    xz = x @ wz + bz
-    xr = x @ wr + br
-    xh = x @ wh + bh
-    hidden = wz.shape[1]
-    h = np.zeros((t_steps + 1, hidden))
-    z = np.empty((t_steps, hidden))
-    r = np.empty((t_steps, hidden))
-    hhat = np.empty((t_steps, hidden))
+    xz = _affine(x, params[f"gru{k}_wz"], params[f"gru{k}_bz"])
+    xr = _affine(x, params[f"gru{k}_wr"], params[f"gru{k}_br"])
+    xh = _affine(x, params[f"gru{k}_wh"], params[f"gru{k}_bh"])
+    h = np.zeros((t_steps + 1,) + xz.shape[1:])
+    z = np.empty_like(xz)
+    r = np.empty_like(xr)
+    hhat = np.empty_like(xh)
     for t in range(t_steps):
         prev = h[t]
         z[t] = _sigmoid(xz[t] + prev @ uz)
@@ -201,10 +223,9 @@ def _branch_forward(params: Parameters, emb: np.ndarray, k: int):
         h[t + 1] = (1.0 - z[t]) * prev + z[t] * hhat[t]
 
     states = h[1:]
-    a_tanh = np.tanh(states @ params["att_wa"] + params["att_ba"])
-    scores = a_tanh @ params["att_ws"]
-    weights = softmax(scores)
-    att_out = weights @ states
+    a_tanh = np.tanh(_affine(states, params["att_wa"], params["att_ba"]))
+    weights = softmax(a_tanh @ params["att_ws"], axis=0)
+    att_out = np.einsum("ts,tsh->sh", weights, states)
     return att_out, {
         "k": k,
         "windows": windows,
@@ -219,49 +240,67 @@ def _branch_forward(params: Parameters, emb: np.ndarray, k: int):
     }
 
 
-def forward(
+def _stack_ids(config: AcGruConfig, inputs) -> np.ndarray:
+    """The inputs' token ids as one (4 * len(inputs), input_len) array;
+    row 4*b + i is code input i of sample b."""
+    if not inputs:
+        raise ValueError("forward needs at least one input")
+    rows = []
+    for inp in inputs:
+        for seq in inp.sequences():
+            ids = np.asarray(seq, dtype=np.int64)
+            if ids.shape != (config.input_len,):
+                raise ValueError(
+                    f"input length {ids.shape} does not match ({config.input_len},)"
+                )
+            rows.append(ids)
+    ids = np.stack(rows)
+    lo, hi = ids.min(), ids.max()
+    if lo < 0 or hi >= config.vocab_size:
+        raise ValueError(
+            f"token id out of range [0, {config.vocab_size}): {int(lo if lo < 0 else hi)}"
+        )
+    return ids
+
+
+def forward_batch(
     params: Parameters,
     config: AcGruConfig,
-    inp: CommitInput,
+    inputs,
     train_mode: bool = False,
     rng=None,
 ):
-    """Per-task logits plus the cache backward needs.
+    """Per-task logits, one row per input, plus the cache `backward_batch`
+    needs.
 
-    Dropout masks are drawn only in train mode (rng required then); eval
-    mode is deterministic.  Token ids outside [0, vocab_size) error.
+    All 4 * len(inputs) code sequences share the branch weights, so each
+    filter size runs one convolution, one GRU recurrence and one attention
+    step over all of them.  Dropout masks are drawn only in train mode (rng
+    required then), per input in order: the commit mask, then each task's
+    mask.  Eval mode is deterministic.  Token ids outside [0, vocab_size)
+    error.
     """
     if train_mode and rng is None:
         raise ValueError("train_mode forward needs an rng for dropout")
-    branch_caches = []
-    branch_outputs = []
-    embeddings = []
-    for seq in inp.sequences():
-        ids = np.asarray(seq, dtype=np.int64)
-        if ids.shape != (config.input_len,):
-            raise ValueError(
-                f"input length {ids.shape} does not match ({config.input_len},)"
-            )
-        if ids.min() < 0 or ids.max() >= config.vocab_size:
-            raise ValueError(
-                f"token id out of range [0, {config.vocab_size}): "
-                f"{int(ids.min() if ids.min() < 0 else ids.max())}"
-            )
-        emb = params["embedding"][ids]
-        embeddings.append((ids, emb))
-        per_input = []
-        for k in config.filter_sizes:
-            out, cache = _branch_forward(params, emb, k)
-            per_input.append(out)
-            branch_caches.append(cache)
-        branch_outputs.append(np.concatenate(per_input))
-    commit = np.concatenate(branch_outputs)
+    ids = _stack_ids(config, inputs)
+    n = len(inputs)
+    emb = params["embedding"][ids.T]
+    outputs, branch_caches = [], []
+    for k in config.filter_sizes:
+        out, cache = _branch_forward(params, emb, k)
+        outputs.append(out)
+        branch_caches.append(cache)
+    # (sequence, filter size, hidden) -> per input: sequence, then filter size
+    commit = np.stack(outputs, axis=1).reshape(n, config.commit_width)
 
     keep = 1.0 - config.dropout
+    commit_mask = np.ones_like(commit)
+    task_masks = {name: np.ones((n, config.gru_hidden)) for name, _ in config.tasks}
     if train_mode and config.dropout > 0.0:
-        commit_mask = (rng.random(commit.shape) < keep) / keep
-    else:
-        commit_mask = np.ones_like(commit)
+        for row in range(n):
+            commit_mask[row] = (rng.random(config.commit_width) < keep) / keep
+            for name, _ in config.tasks:
+                task_masks[name][row] = (rng.random(config.gru_hidden) < keep) / keep
     commit_dropped = commit * commit_mask
 
     logits_by_task = {}
@@ -269,19 +308,16 @@ def forward(
     task_caches = {}
     for name, _ in config.tasks:
         u = commit_dropped @ params[f"task_{name}_w"] + params[f"task_{name}_b"]
-        act = np.maximum(u, 0.0)
-        if train_mode and config.dropout > 0.0:
-            mask = (rng.random(act.shape) < keep) / keep
-        else:
-            mask = np.ones_like(act)
-        act_dropped = act * mask
+        mask = task_masks[name]
+        act_dropped = np.maximum(u, 0.0) * mask
         logits = act_dropped @ params[f"head_{name}_w"] + params[f"head_{name}_b"]
         logits_by_task[name] = logits
         probs_by_task[name] = softmax(logits)
         task_caches[name] = {"u": u, "act_dropped": act_dropped, "mask": mask}
     cache = {
         "revision": params.revision,
-        "embeddings": embeddings,
+        "ids": ids,
+        "emb": emb,
         "branches": branch_caches,
         "commit_dropped": commit_dropped,
         "commit_mask": commit_mask,
@@ -289,6 +325,20 @@ def forward(
         "probs": probs_by_task,
     }
     return logits_by_task, cache
+
+
+def forward(
+    params: Parameters,
+    config: AcGruConfig,
+    inp: CommitInput,
+    train_mode: bool = False,
+    rng=None,
+):
+    """`forward_batch` of one input: per-task logits and `cache["probs"]`
+    are vectors; the other cached arrays keep their batch axis."""
+    logits, cache = forward_batch(params, config, [inp], train_mode, rng)
+    cache["probs"] = {name: p[0] for name, p in cache["probs"].items()}
+    return {name: v[0] for name, v in logits.items()}, cache
 
 
 def multitask_loss(probs_by_task: dict[str, np.ndarray], gold: dict[str, int]) -> float:
@@ -307,6 +357,9 @@ def multitask_loss(probs_by_task: dict[str, np.ndarray], gold: dict[str, int]) -
 
 
 def _branch_backward(params: Parameters, cache: dict, datt_out: np.ndarray, grads, demb):
+    """Backward through one `_branch_forward`: `datt_out` is the loss
+    gradient of its (sequences, hidden) output.  Adds into `grads` and into
+    the time-major embedding gradient `demb`."""
     k = cache["k"]
     h, z, r, hhat = cache["h"], cache["z"], cache["r"], cache["hhat"]
     states = h[1:]
@@ -314,23 +367,22 @@ def _branch_backward(params: Parameters, cache: dict, datt_out: np.ndarray, grad
     a_tanh = cache["a_tanh"]
 
     # attention
-    dw = states @ datt_out
-    dh_steps = np.outer(weights, datt_out)
-    du = weights * (dw - weights @ dw)
-    grads["att_ws"] += a_tanh.T @ du
-    da = np.outer(du, params["att_ws"]) * (1.0 - a_tanh**2)
-    grads["att_wa"] += states.T @ da
-    grads["att_ba"] += da.sum(axis=0)
+    dw = np.einsum("tsh,sh->ts", states, datt_out)
+    dh_steps = weights[:, :, None] * datt_out
+    du = weights * (dw - (weights * dw).sum(axis=0))
+    grads["att_ws"] += _rows(a_tanh).T @ du.reshape(-1)
+    da = du[:, :, None] * params["att_ws"] * (1.0 - a_tanh**2)
+    grads["att_wa"] += _rows(states).T @ _rows(da)
+    grads["att_ba"] += _rows(da).sum(axis=0)
     dh_steps += da @ params["att_wa"].T
 
-    # GRU backward through time
-    t_steps = z.shape[0]
+    # GRU backward through time, every sequence at once
     uz, ur, uh = params[f"gru{k}_uz"], params[f"gru{k}_ur"], params[f"gru{k}_uh"]
     d_zpre = np.empty_like(z)
     d_rpre = np.empty_like(r)
     d_q = np.empty_like(hhat)
-    dh_next = np.zeros(z.shape[1])
-    for t in range(t_steps - 1, -1, -1):
+    dh_next = np.zeros_like(h[0])
+    for t in range(z.shape[0] - 1, -1, -1):
         dh = dh_steps[t] + dh_next
         prev = h[t]
         dz = dh * (hhat[t] - prev)
@@ -349,14 +401,15 @@ def _branch_backward(params: Parameters, cache: dict, datt_out: np.ndarray, grad
         dprev += drp @ ur.T
         dh_next = dprev
 
-    x = cache["x"]
-    prev_states = h[:-1]
+    x = _rows(cache["x"])
+    prev_states = _rows(h[:-1])
+    d_zpre, d_rpre, d_q = _rows(d_zpre), _rows(d_rpre), _rows(d_q)
     grads[f"gru{k}_wz"] += x.T @ d_zpre
     grads[f"gru{k}_wr"] += x.T @ d_rpre
     grads[f"gru{k}_wh"] += x.T @ d_q
     grads[f"gru{k}_uz"] += prev_states.T @ d_zpre
     grads[f"gru{k}_ur"] += prev_states.T @ d_rpre
-    grads[f"gru{k}_uh"] += (r * prev_states).T @ d_q
+    grads[f"gru{k}_uh"] += (_rows(r) * prev_states).T @ d_q
     grads[f"gru{k}_bz"] += d_zpre.sum(axis=0)
     grads[f"gru{k}_br"] += d_rpre.sum(axis=0)
     grads[f"gru{k}_bh"] += d_q.sum(axis=0)
@@ -366,20 +419,21 @@ def _branch_backward(params: Parameters, cache: dict, datt_out: np.ndarray, grad
         + d_zpre @ params[f"gru{k}_wz"].T
         + d_rpre @ params[f"gru{k}_wr"].T
     )
-    dpre = dx * (cache["conv_pre"] > 0)
-    grads[f"conv{k}_w"] += cache["windows"].T @ dpre
+    dpre = dx * (_rows(cache["conv_pre"]) > 0)
+    grads[f"conv{k}_w"] += _rows(cache["windows"]).T @ dpre
     grads[f"conv{k}_b"] += dpre.sum(axis=0)
-    dwindows = dpre @ params[f"conv{k}_w"].T
+    dwindows = (dpre @ params[f"conv{k}_w"].T).reshape(cache["windows"].shape)
     t_len = dwindows.shape[0]
-    l = demb.shape[1]
+    l = demb.shape[2]
     for off in range(k):
-        demb[off : off + t_len] += dwindows[:, off * l : (off + 1) * l]
+        demb[off : off + t_len] += dwindows[:, :, off * l : (off + 1) * l]
 
 
-def backward(
-    params: Parameters, config: AcGruConfig, cache: dict, gold: dict[str, int]
+def backward_batch(
+    params: Parameters, config: AcGruConfig, cache: dict, golds
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of the summed cross-entropy for every parameter.
+    """Exact gradients of the summed cross-entropy over every input of a
+    `forward_batch`, one gold label dict per input, for every parameter.
 
     The cache must come from a forward pass against the same parameter
     revision; anything else is stale and rejected.  (The probability
@@ -388,33 +442,39 @@ def backward(
     """
     if cache["revision"] != params.revision:
         raise ValueError("stale cache: parameters changed since this forward pass")
+    n = cache["commit_dropped"].shape[0]
+    if len(golds) != n:
+        raise ValueError(f"{len(golds)} gold label sets for a batch of {n}")
     grads = {name: np.zeros_like(arr) for name, arr in params.data.items()}
+    rows = np.arange(n)
     dcommit_dropped = np.zeros_like(cache["commit_dropped"])
     for name, _ in config.tasks:
         tc = cache["tasks"][name]
-        probs = cache["probs"][name]
-        dlogits = probs.copy()
-        dlogits[gold[name]] -= 1.0
-        grads[f"head_{name}_w"] += np.outer(tc["act_dropped"], dlogits)
-        grads[f"head_{name}_b"] += dlogits
-        dact = (params[f"head_{name}_w"] @ dlogits) * tc["mask"]
+        # a one-input forward keeps its probs as a vector
+        dlogits = cache["probs"][name].reshape(n, -1).copy()
+        dlogits[rows, [gold[name] for gold in golds]] -= 1.0
+        grads[f"head_{name}_w"] += tc["act_dropped"].T @ dlogits
+        grads[f"head_{name}_b"] += dlogits.sum(axis=0)
+        dact = (dlogits @ params[f"head_{name}_w"].T) * tc["mask"]
         du = dact * (tc["u"] > 0)
-        grads[f"task_{name}_w"] += np.outer(cache["commit_dropped"], du)
-        grads[f"task_{name}_b"] += du
-        dcommit_dropped += params[f"task_{name}_w"] @ du
+        grads[f"task_{name}_w"] += cache["commit_dropped"].T @ du
+        grads[f"task_{name}_b"] += du.sum(axis=0)
+        dcommit_dropped += du @ params[f"task_{name}_w"].T
     dcommit = dcommit_dropped * cache["commit_mask"]
-
-    h = config.gru_hidden
-    n_branches = len(config.filter_sizes)
-    branch_iter = iter(cache["branches"])
-    for i, (ids, emb) in enumerate(cache["embeddings"]):
-        demb = np.zeros_like(emb)
-        base = i * n_branches * h
-        for j in range(n_branches):
-            seg = dcommit[base + j * h : base + (j + 1) * h]
-            _branch_backward(params, next(branch_iter), seg, grads, demb)
-        np.add.at(grads["embedding"], ids, demb)
+    # per input: sequence, then filter size -> (sequence, filter size, hidden)
+    dcommit = dcommit.reshape(4 * n, len(config.filter_sizes), config.gru_hidden)
+    demb = np.zeros_like(cache["emb"])
+    for j, branch in enumerate(cache["branches"]):
+        _branch_backward(params, branch, dcommit[:, j], grads, demb)
+    np.add.at(grads["embedding"], cache["ids"].T, demb)
     return grads
+
+
+def backward(
+    params: Parameters, config: AcGruConfig, cache: dict, gold: dict[str, int]
+) -> dict[str, np.ndarray]:
+    """`backward_batch` of a one-input `forward`."""
+    return backward_batch(params, config, cache, [gold])
 
 
 @dataclass
@@ -462,20 +522,40 @@ def predict_acgru(
 
 
 def _mean_val_mcc(params: Parameters, config: AcGruConfig, val_set) -> float:
+    """Mean over tasks of the validation MCC, from one eval-mode
+    `forward_batch` over the whole set."""
     from .evaluation import compute_metrics
 
-    gold_by_task: dict[str, list[str]] = {name: [] for name, _ in config.tasks}
-    pred_by_task: dict[str, list[str]] = {name: [] for name, _ in config.tasks}
-    for inp, labels in val_set:
-        picks, _ = predict_acgru(params, config, inp)
-        for name, _ in config.tasks:
-            gold_by_task[name].append(str(labels[name]))
-            pred_by_task[name].append(str(picks[name]))
+    logits, _ = forward_batch(params, config, [inp for inp, _ in val_set])
     per_task = [
-        compute_metrics(gold_by_task[name], pred_by_task[name]).mcc
+        compute_metrics(
+            [str(labels[name]) for _, labels in val_set],
+            [str(pick) for pick in np.argmax(logits[name], axis=1)],
+        ).mcc
         for name, _ in config.tasks
     ]
     return float(sum(per_task) / len(per_task))
+
+
+def _check_labels(config: AcGruConfig, samples, which: str) -> None:
+    """Every sample's labels hold exactly the config's tasks, each a
+    non-bool int in [0, n_labels)."""
+    tasks = dict(config.tasks)
+    for i, (_, labels) in enumerate(samples):
+        where = f"{which} sample {i}"
+        if not isinstance(labels, dict):
+            raise ValueError(f"{where}: labels must map task name to label, got {labels!r}")
+        for name in labels:
+            if name not in tasks:
+                raise ValueError(f"{where}, task {name!r}: not a task of the config")
+        for name, n_labels in config.tasks:
+            if name not in labels:
+                raise ValueError(f"{where}, task {name!r}: label missing")
+            y = labels[name]
+            if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < n_labels:
+                raise ValueError(
+                    f"{where}, task {name!r}: label {y!r} is not an int in [0, {n_labels})"
+                )
 
 
 def train_acgru(
@@ -483,6 +563,7 @@ def train_acgru(
 ) -> tuple[Parameters, list[tuple[int, float, float]]]:
     """Minibatch Adam with early stopping on mean validation MCC.
 
+    Each minibatch is one `forward_batch` and one `backward_batch`.
     Snapshots the best-validation parameters and returns them with the
     (epoch, train_loss, val_mcc) history.  Stops once the epochs since
     the best score exceed the patience.  Bitwise deterministic per seed.
@@ -491,6 +572,8 @@ def train_acgru(
         raise ValueError("empty training set")
     if not val_set:
         raise ValueError("empty validation set")
+    _check_labels(config, train_set, "train")
+    _check_labels(config, val_set, "val")
     rng = np.random.default_rng(config.seed)
     params = init_parameters(config, rng)
     state = AdamState.for_params(params)
@@ -502,21 +585,18 @@ def train_acgru(
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch):
-            batch = order[start : start + config.batch]
-            grads_sum: dict[str, np.ndarray] | None = None
-            for idx in batch:
-                inp, labels = train_set[idx]
-                _, cache = forward(params, config, inp, train_mode=True, rng=rng)
-                epoch_loss += multitask_loss(cache["probs"], labels)
-                grads = backward(params, config, cache, labels)
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for name in grads_sum:
-                        grads_sum[name] += grads[name]
-            for name in grads_sum:
-                grads_sum[name] /= len(batch)
-            adam_step(params, grads_sum, state, config.lr)
+            batch = [train_set[idx] for idx in order[start : start + config.batch]]
+            golds = [labels for _, labels in batch]
+            _, cache = forward_batch(
+                params, config, [inp for inp, _ in batch], train_mode=True, rng=rng
+            )
+            for row, labels in enumerate(golds):
+                probs = {name: p[row] for name, p in cache["probs"].items()}
+                epoch_loss += multitask_loss(probs, labels)
+            grads = backward_batch(params, config, cache, golds)
+            for g in grads.values():
+                g /= len(batch)
+            adam_step(params, grads, state, config.lr)
         train_loss = epoch_loss / len(train_set)
         val_mcc = _mean_val_mcc(params, config, val_set)
         history.append((epoch, float(train_loss), val_mcc))
@@ -555,11 +635,23 @@ def save_parameters(params: Parameters, config: AcGruConfig, path) -> None:
 
 
 def load_parameters(path) -> tuple[Parameters, AcGruConfig]:
+    """A bundle written by `save_parameters`.  Raises `ValueError` naming
+    the file, and the key or array, for anything else: another version, a
+    missing or unknown key, a missing or unknown array, or an array whose
+    shape the config does not give it."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != BUNDLE_VERSION:
-        raise ValueError(
-            f"unsupported bundle version {payload.get('version')!r}"
-        )
+    require_keys(payload, ("version",), str(path))
+    if payload["version"] != BUNDLE_VERSION:
+        raise ValueError(f"{path}: unsupported bundle version {payload['version']!r}")
+    require_keys(payload, ("version", "config", "arrays"), str(path), exact=True)
     config = from_fields(AcGruConfig, payload["config"], f"{path}, key 'config'")
-    data = {name: np.array(arr, dtype=float) for name, arr in payload["arrays"].items()}
+    shapes = parameter_shapes(config)
+    arrays = payload["arrays"]
+    require_keys(arrays, shapes, f"{path}, key 'arrays'", exact=True)
+    data = {}
+    for name, shape in shapes.items():
+        where = f"{path}, array {name!r}"
+        data[name] = check_value(arrays[name], np.ndarray, where)
+        if data[name].shape != shape:
+            raise SchemaError(f"{where}: shape {data[name].shape}, the config needs {shape}")
     return Parameters(data=data), config

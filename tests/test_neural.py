@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -6,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import svassess.neural as neural
 from svassess.neural import (
     AcGruConfig,
     AdamState,
     CommitInput,
     adam_step,
     backward,
+    backward_batch,
     forward,
+    forward_batch,
     history_csv,
     init_parameters,
     load_parameters,
@@ -112,8 +117,10 @@ def test_conv_feature_map_shapes():
     params = init_parameters(cfg)
     inp = random_input(cfg, np.random.default_rng(0))
     _, cache = forward(params, cfg, inp)
-    for branch, k in zip(cache["branches"][:3], cfg.filter_sizes):
-        assert branch["x"].shape == (cfg.input_len - k + 1, cfg.filters_per_size)
+    assert len(cache["branches"]) == len(cfg.filter_sizes)
+    # time-major: (steps, the input's 4 sequences, filters)
+    for branch, k in zip(cache["branches"], cfg.filter_sizes):
+        assert branch["x"].shape == (cfg.input_len - k + 1, 4, cfg.filters_per_size)
 
 
 def test_commit_vector_width():
@@ -121,7 +128,7 @@ def test_commit_vector_width():
     params = init_parameters(cfg)
     inp = random_input(cfg, np.random.default_rng(1))
     _, cache = forward(params, cfg, inp)
-    assert cache["commit_dropped"].shape == (4 * 3 * cfg.gru_hidden,)
+    assert cache["commit_dropped"].shape == (1, 4 * 3 * cfg.gru_hidden)
 
 
 def test_zero_gru_weights_give_zero_states():
@@ -146,8 +153,9 @@ def test_single_step_attention_returns_that_state():
     inp = random_input(cfg, np.random.default_rng(3))
     _, cache = forward(params, cfg, inp)
     branch = cache["branches"][0]
-    assert branch["weights"].tolist() == [1.0]
-    np.testing.assert_array_equal(cache["commit_dropped"][: cfg.gru_hidden], branch["h"][1])
+    assert branch["weights"].tolist() == [[1.0] * 4]
+    # one filter size: the commit vector is each sequence's one state in turn
+    np.testing.assert_array_equal(cache["commit_dropped"].reshape(4, cfg.gru_hidden), branch["h"][1])
 
 
 def test_equal_logits_give_half_half():
@@ -300,8 +308,85 @@ def test_dropout_masks_flow_through_backward():
     _, cache = forward(params, cfg, inp, train_mode=True, rng=rng)
     grads = backward(params, cfg, cache, gold)
     # gradients through a dropped commit coordinate must vanish for task weights
-    dropped = cache["commit_mask"] == 0.0
+    dropped = cache["commit_mask"][0] == 0.0
     assert np.all(grads["task_alpha_w"][dropped] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched forward/backward
+# ---------------------------------------------------------------------------
+
+@given(
+    n=st.integers(1, 6),
+    input_len=st.integers(1, 6),
+    mid_k=st.integers(1, 6),
+    dropout=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_gradients_equal_summed_per_sample_gradients(n, input_len, mid_k, dropout, seed):
+    # the filter sizes always include k = input_len: one GRU step per sequence
+    sizes = tuple(sorted({1, min(mid_k, input_len), input_len}))
+    cfg = toy_config(input_len=input_len, filter_sizes=sizes, dropout=dropout)
+    params = init_parameters(cfg, np.random.default_rng(seed))
+    data_rng = np.random.default_rng(seed + 1)
+    inputs = [random_input(cfg, data_rng) for _ in range(n)]
+    golds = [
+        {"alpha": int(data_rng.integers(3)), "beta": int(data_rng.integers(2))}
+        for _ in range(n)
+    ]
+    train = dropout > 0.0
+    # equal seeds: the batch draws each input's masks in per-input order
+    batch_rng = np.random.default_rng(seed + 2) if train else None
+    one_rng = np.random.default_rng(seed + 2) if train else None
+    logits, cache = forward_batch(params, cfg, inputs, train_mode=train, rng=batch_rng)
+    batched = backward_batch(params, cfg, cache, golds)
+
+    summed = {name: np.zeros_like(arr) for name, arr in params.data.items()}
+    for row, (inp, gold) in enumerate(zip(inputs, golds)):
+        one_logits, one = forward(params, cfg, inp, train_mode=train, rng=one_rng)
+        np.testing.assert_array_equal(cache["commit_mask"][row], one["commit_mask"][0])
+        for name, _ in cfg.tasks:
+            np.testing.assert_array_equal(cache["tasks"][name]["mask"][row], one["tasks"][name]["mask"][0])
+            np.testing.assert_allclose(logits[name][row], one_logits[name], rtol=1e-12, atol=1e-15)
+        for name, g in backward(params, cfg, one, gold).items():
+            summed[name] += g
+    # relative to the whole gradient: a block like att_ba sums attention
+    # terms that cancel by construction, so its own size sets no scale
+    scale = max(np.abs(g).max() for g in summed.values())
+    for name in params.names():
+        err = np.abs(batched[name] - summed[name]).max()
+        assert err <= 1e-12 * scale, (name, err / scale)
+
+
+def test_one_input_batch_equals_forward():
+    cfg = toy_config(dropout=0.5)
+    params = init_parameters(cfg)
+    inp = random_input(cfg, np.random.default_rng(15))
+    for train in (False, True):
+        rngs = [np.random.default_rng(16) if train else None for _ in range(2)]
+        logits, cache = forward(params, cfg, inp, train_mode=train, rng=rngs[0])
+        batch_logits, batch_cache = forward_batch(params, cfg, [inp], train_mode=train, rng=rngs[1])
+        for name, nlabels in cfg.tasks:
+            assert logits[name].shape == cache["probs"][name].shape == (nlabels,)
+            assert batch_logits[name].shape == batch_cache["probs"][name].shape == (1, nlabels)
+            np.testing.assert_array_equal(batch_logits[name][0], logits[name])
+            np.testing.assert_array_equal(batch_cache["probs"][name][0], cache["probs"][name])
+
+
+def test_backward_batch_rejects_wrong_number_of_golds():
+    cfg = toy_config()
+    params = init_parameters(cfg)
+    rng = np.random.default_rng(17)
+    _, cache = forward_batch(params, cfg, [random_input(cfg, rng) for _ in range(2)])
+    with pytest.raises(ValueError):
+        backward_batch(params, cfg, cache, [{"alpha": 0, "beta": 0}])
+
+
+def test_forward_batch_rejects_empty_batch():
+    cfg = toy_config()
+    with pytest.raises(ValueError):
+        forward_batch(init_parameters(cfg), cfg, [])
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +492,60 @@ def test_training_is_bitwise_deterministic():
         np.testing.assert_array_equal(p1[name], p2[name])
 
 
+def test_training_makes_one_forward_per_minibatch_and_validation_pass(monkeypatch):
+    cfg = toy_config(epochs=3, batch=4, patience=999)
+    rng = np.random.default_rng(5)
+    data = [labeled_sample(cfg, rng, a % 3, a % 2) for a in range(10)]
+    sizes = []
+    real = neural.forward_batch
+
+    def counting(params, config, inputs, *args, **kwargs):
+        sizes.append(len(inputs))
+        return real(params, config, inputs, *args, **kwargs)
+
+    def per_sample(*args, **kwargs):
+        raise AssertionError("training ran a per-sample forward")
+
+    monkeypatch.setattr(neural, "forward_batch", counting)
+    monkeypatch.setattr(neural, "forward", per_sample)
+    train_acgru(cfg, data, data[:3])
+    # per epoch: minibatches of 4, 4 and 2, then the 3-sample validation pass
+    assert sizes == [4, 4, 2, 3] * 3
+
+
+@pytest.mark.parametrize(
+    "which, index, labels, task",
+    [
+        ("train", 1, {"alpha": -1, "beta": 0}, "alpha"),
+        ("train", 1, {"alpha": 3, "beta": 0}, "alpha"),
+        ("train", 1, {"alpha": 0, "beta": 1.0}, "beta"),
+        ("train", 1, {"alpha": True, "beta": 0}, "alpha"),
+        ("train", 1, {"alpha": 0}, "beta"),
+        ("train", 1, {"alpha": 0, "beta": 0, "gamma": 0}, "gamma"),
+        ("val", 0, {"alpha": 0, "beta": 2}, "beta"),
+        ("val", 0, {"alpha": "1", "beta": 0}, "alpha"),
+    ],
+)
+def test_train_rejects_bad_labels_naming_set_sample_and_task(which, index, labels, task):
+    cfg = toy_config(epochs=1)
+    good = [labeled_sample(cfg, None, a, a % 2) for a in range(3)]
+    train, val = list(good), list(good)
+    target = train if which == "train" else val
+    target[index] = (target[index][0], labels)
+    with pytest.raises(ValueError, match=rf"{which} sample {index}, task '{task}'"):
+        train_acgru(cfg, train, val)
+
+
+def test_train_accepts_numpy_integer_labels():
+    cfg = toy_config(epochs=1)
+    data = [
+        (inp, {name: np.int64(y) for name, y in labels.items()})
+        for inp, labels in (labeled_sample(cfg, None, a, a % 2) for a in range(3))
+    ]
+    _, history = train_acgru(cfg, data, data)
+    assert len(history) == 1
+
+
 def test_history_csv_format():
     text = history_csv([(1, 0.5, 0.25), (2, 0.4, 0.5)])
     lines = text.strip().split("\n")
@@ -447,4 +586,74 @@ def test_parameter_bundle_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"version": 99, "config": {}, "arrays": {}}')
     with pytest.raises(ValueError):
+        load_parameters(path)
+
+
+def _bundle_payload(tmp_path):
+    cfg = toy_config()
+    path = tmp_path / "model.json"
+    save_parameters(init_parameters(cfg), cfg, path)
+    return path, json.loads(path.read_text())
+
+
+def _edit_missing_and_unknown_array(payload):
+    payload["arrays"]["att_wb"] = payload["arrays"].pop("att_wa")
+    return "att_wa"
+
+
+def _edit_short_embedding(payload):
+    payload["arrays"]["embedding"] = payload["arrays"]["embedding"][:-1]
+    return "embedding"
+
+
+def _edit_wide_head(payload):
+    payload["arrays"]["head_beta_w"] = [row + [0.0] for row in payload["arrays"]["head_beta_w"]]
+    return "head_beta_w"
+
+
+def _edit_ragged_conv(payload):
+    payload["arrays"]["conv3_w"][0] = payload["arrays"]["conv3_w"][0][:-1]
+    return "conv3_w"
+
+
+def _edit_text_bias(payload):
+    payload["arrays"]["conv1_b"] = ["0"] * len(payload["arrays"]["conv1_b"])
+    return "conv1_b"
+
+
+def _edit_unknown_array(payload):
+    payload["arrays"]["gru9_wz"] = [[0.0]]
+    return "gru9_wz"
+
+
+def _edit_missing_config(payload):
+    del payload["config"]
+    return "config"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _edit_missing_and_unknown_array,
+        _edit_short_embedding,
+        _edit_wide_head,
+        _edit_ragged_conv,
+        _edit_text_bias,
+        _edit_unknown_array,
+        _edit_missing_config,
+    ],
+)
+def test_parameter_bundle_rejects_arrays_the_config_does_not_give(tmp_path, edit):
+    path, payload = _bundle_payload(tmp_path)
+    name = edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}.*{name}"):
+        load_parameters(path)
+
+
+@pytest.mark.parametrize("payload", [[], "model", 1, None])
+def test_parameter_bundle_rejects_non_object(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_parameters(path)
