@@ -26,7 +26,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corpus import QA_SITES, SchemaError, check_value, from_fields, load_dataset, require_keys
+from .corpus import (
+    QA_SITES,
+    SchemaError,
+    check_value,
+    from_fields,
+    load_dataset,
+    require_keys,
+    utf8_lines,
+)
 from .drift import drift_report
 from .evaluation import (
     POLICIES,
@@ -157,6 +165,8 @@ class PipelineConfig:
             path = getattr(self, attr)
             if path is not None and not Path(path).exists():
                 raise ValueError(f"{attr} path does not exist: {path}")
+            if path is not None and not Path(path).is_file():
+                raise ValueError(f"{attr} path is not a file: {path}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -181,6 +191,8 @@ def build_parser() -> _Parser:
 def _read_json_object(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     require_keys(obj, (), str(path))
@@ -623,8 +635,7 @@ def _cmd_mine(cfg: PipelineConfig) -> int:
     if not cfg.keywords:
         raise ValueError("mine needs a keyword list (config key: keywords)")
     ds = load_dataset(_require_dataset(cfg), "post")
-    with open(cfg.keywords, "r", encoding="utf-8") as fh:
-        keywords = load_keywords(fh)
+    keywords = load_keywords(utf8_lines(cfg.keywords))
     posts = [p for p in ds if p.site == cfg.site]
     filter_config = ContentFilterConfig()
     out = Path(cfg.out)

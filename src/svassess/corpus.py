@@ -443,7 +443,7 @@ def _record_from_json(obj: dict, kind: str, where: str):
         if obj["label"] not in QA_LABELS:
             raise SchemaError(f"{where}: field 'label' must be one of {QA_LABELS}")
         tags = check_value(obj["tags"], tuple[str, ...], f"{where}, field 'tags'")
-        return QaPost(
+        post = QaPost(
             id=str(obj["id"]),
             site=obj["site"],
             title=str(obj["title"]),
@@ -452,7 +452,20 @@ def _record_from_json(obj: dict, kind: str, where: str):
             tags=frozenset(tags),
             label=obj["label"],
         )
+        if not post.word_count:
+            raise SchemaError(f"{where}: post has no words")
+        return post
     raise ValueError(f"unknown dataset kind {kind!r}")
+
+
+def utf8_lines(path):
+    """The lines of a text file; bytes that are not UTF-8 raise
+    `SchemaError` naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def load_dataset(path, kind: str) -> Dataset:
@@ -464,31 +477,30 @@ def load_dataset(path, kind: str) -> Dataset:
     records = []
     seen_ids: set[str] = set()
     tasks: tuple[str, ...] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        idx = 0
-        for line in fh:
-            if not line.strip():
-                continue
-            where = f"record {idx}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
-            record = _record_from_json(obj, kind, where)
-            if record.id in seen_ids:
-                raise SchemaError(f"{where}: duplicate id {record.id!r}")
-            seen_ids.add(record.id)
-            if kind != "post":
-                declared = tuple(record.labels.keys())
-                if tasks is None:
-                    tasks = declared
-                elif set(declared) != set(tasks):
-                    raise SchemaError(
-                        f"{where}: field 'labels': tasks {sorted(declared)} differ "
-                        f"from declared {sorted(tasks)}"
-                    )
-            records.append(record)
-            idx += 1
+    idx = 0
+    for line in utf8_lines(path):
+        if not line.strip():
+            continue
+        where = f"record {idx}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+        record = _record_from_json(obj, kind, where)
+        if record.id in seen_ids:
+            raise SchemaError(f"{where}: duplicate id {record.id!r}")
+        seen_ids.add(record.id)
+        if kind != "post":
+            declared = tuple(record.labels.keys())
+            if tasks is None:
+                tasks = declared
+            elif set(declared) != set(tasks):
+                raise SchemaError(
+                    f"{where}: field 'labels': tasks {sorted(declared)} differ "
+                    f"from declared {sorted(tasks)}"
+                )
+        records.append(record)
+        idx += 1
     return Dataset(kind=kind, records=tuple(records), tasks=tasks or ())
 
 
@@ -534,35 +546,3 @@ def serialize_dataset(dataset: Dataset) -> str:
         out.append(json.dumps(obj, ensure_ascii=False))
     return "\n".join(out) + ("\n" if out else "")
 
-
-def validate_dataset(dataset: Dataset) -> list[tuple[str, str]]:
-    """Re-check invariants on any dataset; returns (record id, violation)."""
-    violations: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for rec in dataset.records:
-        if rec.id in seen:
-            violations.append((rec.id, "duplicate id"))
-        seen.add(rec.id)
-        if isinstance(rec, SvReport):
-            if not rec.description.strip():
-                violations.append((rec.id, "empty description"))
-            if set(rec.labels) != set(dataset.tasks):
-                violations.append((rec.id, "labels differ from declared task list"))
-        elif isinstance(rec, FunctionRecord):
-            if not rec.vulnerable_line_indices:
-                violations.append((rec.id, "no vulnerable line"))
-            elif not all(0 <= i < len(rec.lines) for i in rec.vulnerable_line_indices):
-                violations.append((rec.id, "vulnerable index out of range"))
-            elif len(rec.vulnerable_line_indices) >= len(rec.lines):
-                violations.append((rec.id, "no non-vulnerable line"))
-            if set(rec.labels) != set(dataset.tasks):
-                violations.append((rec.id, "labels differ from declared task list"))
-        elif isinstance(rec, CommitRecord):
-            if not rec.files:
-                violations.append((rec.id, "no file changes"))
-            if set(rec.labels) != set(dataset.tasks):
-                violations.append((rec.id, "labels differ from declared task list"))
-        elif isinstance(rec, QaPost):
-            if rec.word_count <= 0:
-                violations.append((rec.id, "empty post text"))
-    return violations

@@ -68,12 +68,11 @@ def standard_configs() -> tuple[NlpConfig, ...]:
 class Vocabulary:
     index: dict[str, int]
     df: dict[str, int]
-    kind: str  # word | char | subtoken
 
     @classmethod
-    def from_df(cls, df: dict[str, int], kind: str) -> "Vocabulary":
+    def from_df(cls, df: dict[str, int]) -> "Vocabulary":
         terms = sorted(df)
-        return cls(index={t: i for i, t in enumerate(terms)}, df=dict(df), kind=kind)
+        return cls(index={t: i for i, t in enumerate(terms)}, df=dict(df))
 
     def terms(self) -> list[str]:
         out = [""] * len(self.index)
@@ -131,7 +130,7 @@ def build_word_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
         for gram in set(_word_ngrams(tokens, config.word_ngram_min, config.word_ngram_max)):
             df[gram] = df.get(gram, 0) + 1
     kept = {t: c for t, c in df.items() if c / n_docs > config.word_min_doc_fraction}
-    return Vocabulary.from_df(kept, "word")
+    return Vocabulary.from_df(kept)
 
 
 def _char_grams(joined: str, lo: int, hi: int):
@@ -162,7 +161,7 @@ def build_char_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
         joined = " ".join(t for t in tokens if t in high)
         for gram in set(_char_grams(joined, config.char_min, config.char_max)):
             df[gram] = df.get(gram, 0) + 1
-    return Vocabulary.from_df(df, "char")
+    return Vocabulary.from_df(df)
 
 
 @dataclass
@@ -196,8 +195,8 @@ class FeatureModel:
         config = from_fields(NlpConfig, obj["config"], f"{where}, key 'config'")
         word_terms = check_value(obj["word_vocab"], tuple[str, ...], f"{where}, key 'word_vocab'")
         char_terms = check_value(obj["char_vocab"], tuple[str, ...], f"{where}, key 'char_vocab'")
-        word = Vocabulary(index={t: i for i, t in enumerate(word_terms)}, df={}, kind="word")
-        char = Vocabulary(index={t: i for i, t in enumerate(char_terms)}, df={}, kind="char")
+        word = Vocabulary(index={t: i for i, t in enumerate(word_terms)}, df={})
+        char = Vocabulary(index={t: i for i, t in enumerate(char_terms)}, df={})
         idf = check_value(obj["idf"], np.ndarray | None, f"{where}, key 'idf'")
         if (idf is not None) != (config.weighting == "tfidf"):
             state = "has" if idf is not None else "lacks"
@@ -292,8 +291,8 @@ def aggregate_char_word(
     diff_words = {
         t: word_vocab.df.get(t, 1) for t in word_vocab.index if t not in slt_chars
     }
-    final_word = Vocabulary.from_df(diff_words, "word")
-    final_char = Vocabulary.from_df(dict.fromkeys(slt_chars, 0), "char")  # df below
+    final_word = Vocabulary.from_df(diff_words)
+    final_char = Vocabulary.from_df(dict.fromkeys(slt_chars, 0))  # df below
     model = FeatureModel(
         word_vocab=final_word,
         char_vocab=final_char,
@@ -329,53 +328,3 @@ def transform(model: FeatureModel, tokens: list[str]) -> sparse.csr_matrix:
     """One document as a one-row CSR; see `transform_many`."""
     return transform_many(model, [tokens])
 
-
-# ---------------------------------------------------------------------------
-# Subtoken features for code inputs.
-# ---------------------------------------------------------------------------
-
-def _subtokens(token: str, lo: int, hi: int):
-    for n in range(lo, hi + 1):
-        for i in range(len(token) - n + 1):
-            yield token[i : i + n]
-
-
-def build_subtoken_vocab(
-    docs: list[list[str]], min_len: int = 2, max_len: int = 6
-) -> Vocabulary:
-    """Vocabulary of contiguous character subsequences of code tokens."""
-    if not docs:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
-    df: dict[str, int] = {}
-    for tokens in docs:
-        seen = set()
-        for tok in tokens:
-            seen.update(_subtokens(tok, min_len, max_len))
-        for sub in seen:
-            df[sub] = df.get(sub, 0) + 1
-    return Vocabulary.from_df(df, "subtoken")
-
-
-def bag_of_subtokens(
-    tokens: list[str], vocab: Vocabulary, min_len: int = 2, max_len: int = 6
-) -> sparse.csr_matrix:
-    """One-row CSR of the counts (with multiplicity) of each token's
-    subtokens in the vocab."""
-    counts: dict[int, float] = {}
-    for tok in tokens:
-        for sub in _subtokens(tok, min_len, max_len):
-            col = vocab.index.get(sub)
-            if col is not None:
-                counts[col] = counts.get(col, 0.0) + 1.0
-    return _rows_to_csr([counts], len(vocab))
-
-
-def bag_of_tokens(tokens: list[str], vocab: Vocabulary) -> sparse.csr_matrix:
-    """One-row CSR of whole-token counts over a word-kind vocabulary of
-    code tokens."""
-    counts: dict[int, float] = {}
-    for tok in tokens:
-        col = vocab.index.get(tok)
-        if col is not None:
-            counts[col] = counts.get(col, 0.0) + 1.0
-    return _rows_to_csr([counts], len(vocab))

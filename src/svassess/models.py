@@ -1,8 +1,7 @@
 """Classical learners for assessment tasks: multinomial naive Bayes,
 one-vs-rest linear models trained by seeded SGD, k-nearest neighbours,
-k-means clustering with majority-vote cluster labelling, label
-concatenation for single-model multi-task prediction, and random
-oversampling.
+k-means clustering with majority-vote cluster labelling, and label
+concatenation for single-model multi-task prediction.
 
 The SGD schedule (log or hinge loss, L2 strength 1/C, 100 epochs,
 learning rate 0.01 with 1/t decay over the global update counter) is
@@ -571,29 +570,3 @@ def xcva_decode(encoded: str, tasks: Sequence[str]) -> dict[str, str]:
         out[task] = cls
     return out
 
-
-def random_oversample(features, labels: Sequence[str], seed: int = 0):
-    """Duplicate minority-class samples until every class matches the
-    majority count.  Original samples always survive.
-    """
-    labels = list(labels)
-    counts: dict[str, list[int]] = {}
-    for i, y in enumerate(labels):
-        counts.setdefault(y, []).append(i)
-    majority = max(len(v) for v in counts.values())
-    rng = np.random.default_rng(seed)
-    extra: list[int] = []
-    for cls in sorted(counts):
-        short = majority - len(counts[cls])
-        if short > 0:
-            extra.extend(rng.choice(counts[cls], size=short, replace=True).tolist())
-    if isinstance(features, (list, tuple)):
-        new_features = list(features) + [features[i] for i in extra]
-    elif sparse.issparse(features):
-        mat = features.tocsr()
-        new_features = sparse.vstack([mat, mat[extra]], format="csr") if extra else mat
-    else:
-        arr = np.asarray(features)
-        new_features = np.concatenate([arr, arr[extra]], axis=0) if extra else arr
-    new_labels = labels + [labels[i] for i in extra]
-    return new_features, new_labels

@@ -611,13 +611,6 @@ def train_acgru(
     return best_params, history
 
 
-def history_csv(history) -> str:
-    lines = ["epoch,train_loss,val_mcc"]
-    for epoch, loss, mcc in history:
-        lines.append(f"{epoch},{loss!r},{mcc!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Persistence: versioned JSON bundle of named arrays.
 # ---------------------------------------------------------------------------

@@ -104,22 +104,25 @@ def keyword_metrics(text: str, keywords: KeywordSet) -> tuple[int, float]:
     return count, count / len(tokens)
 
 
-def content_filter(posts, site: str, step: int, config: ContentFilterConfig, keywords: KeywordSet):
-    """Posts passing both thresholds (inclusive) for the site and step."""
+def _kept_with_metrics(posts, site, step, config, keywords):
+    """(post, count, ratio) for each post passing both thresholds
+    (inclusive) for the site and step."""
     min_count, min_ratio = config.lookup(site, step)
-    kept = []
     for post in posts:
         count, ratio = keyword_metrics(post.text, keywords)
         if count >= min_count and ratio >= min_ratio:
-            kept.append(post)
-    return kept
+            yield post, count, ratio
+
+
+def content_filter(posts, site: str, step: int, config: ContentFilterConfig, keywords: KeywordSet):
+    """Posts passing both thresholds (inclusive) for the site and step."""
+    return [post for post, _, _ in _kept_with_metrics(posts, site, step, config, keywords)]
 
 
 def content_filter_jsonl(posts, site, step, config, keywords) -> str:
     """JSONL of the kept posts, annotated with their keyword metrics."""
     lines = []
-    for post in content_filter(posts, site, step, config, keywords):
-        count, ratio = keyword_metrics(post.text, keywords)
+    for post, count, ratio in _kept_with_metrics(posts, site, step, config, keywords):
         lines.append(
             json.dumps(
                 {"id": post.id, "site": post.site, "kw_count": count, "kw_ratio": ratio},

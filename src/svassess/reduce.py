@@ -1,10 +1,8 @@
-"""Latent semantic projection via randomized truncated SVD, plus
-token-embedding tables with mean pooling for document vectors."""
+"""Latent semantic projection via randomized truncated SVD."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -79,60 +77,3 @@ def lsa_transform_many(model: LsaModel, data) -> np.ndarray:
         )
     return np.asarray(mat @ model.components)
 
-
-@dataclass
-class EmbeddingTable:
-    vectors: dict[str, np.ndarray]
-    dim: int
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
-def load_embedding_table(path) -> EmbeddingTable:
-    """Read 'token v1 ... vL' lines; all rows must share one dimension."""
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected a token followed by values")
-        token = parts[0]
-        try:
-            vec = np.array([float(x) for x in parts[1:]])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric embedding value") from exc
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ValueError(
-                f"line {lineno}: dimension {vec.shape[0]} differs from {dim}"
-            )
-        vectors[token] = vec
-    if dim is None:
-        raise ValueError("embedding file holds no vectors")
-    return EmbeddingTable(vectors=vectors, dim=dim)
-
-
-def save_embedding_table(table: EmbeddingTable, path) -> None:
-    lines = []
-    for token in sorted(table.vectors):
-        values = " ".join(repr(float(v)) for v in table.vectors[token])
-        lines.append(f"{token} {values}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def average_embedding(table: EmbeddingTable, tokens: list[str]) -> np.ndarray:
-    """Mean of the tokens' embedding vectors; unknown tokens are skipped.
-
-    A document with no known tokens maps to the zero vector.
-    """
-    hits = [table.vectors[t] for t in tokens if t in table.vectors]
-    if not hits:
-        return np.zeros(table.dim)
-    return np.mean(hits, axis=0)

@@ -164,14 +164,3 @@ def code_line_mask(lines: list[str]) -> list[bool]:
     """True per line iff the line holds code (not blank or comment-only)."""
     return scan_lines(lines)[1]
 
-
-def strip_noncode_lines(lines: list[str]) -> tuple[list[str], dict[int, int]]:
-    """Drop blank and comment-only lines; map kept positions to originals."""
-    mask = code_line_mask(lines)
-    kept: list[str] = []
-    index_map: dict[int, int] = {}
-    for orig_idx, (line, is_code) in enumerate(zip(lines, mask)):
-        if is_code:
-            index_map[len(kept)] = orig_idx
-            kept.append(line)
-    return kept, index_map

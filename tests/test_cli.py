@@ -98,6 +98,18 @@ def test_missing_dataset_path_exits_one(tmp_path, capsys):
         == 1
     )
     assert "does not exist" in capsys.readouterr().err
+    assert cli.main(["ingest", "--dataset", str(tmp_path), "--out", str(out)]) == 1
+    assert f"command line: dataset path is not a file: {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dataset", "record", "keywords"])
+def test_directory_given_as_input_file_exits_one(tmp_path, small_reports, capsys, key):
+    config = write_config(tmp_path, small_reports, tmp_path / "out")
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**raw, key: str(tmp_path)}), encoding="utf-8")
+    command = {"dataset": "ingest", "record": "assess", "keywords": "mine"}[key]
+    assert cli.main([command, "--config", str(config)]) == 1
+    assert f"{config}: {key} path is not a file: {tmp_path}" in capsys.readouterr().err
 
 
 def test_bad_protocol_in_config_exits_one(tmp_path, small_reports, capsys):
@@ -601,16 +613,27 @@ def test_property_bundle_missing_any_key_never_exits_two(trained, data):
         assert code == 1 and f"missing key {path[-1]!r}" in err.getvalue()
 
 
-@pytest.mark.parametrize("target", ["config", "selected", "bundle", "record"])
-def test_invalid_json_names_the_file(trained, tmp_path, capsys, target):
+@pytest.mark.parametrize(
+    "target, damage",
+    [pytest.param(t, "truncated", id=t) for t in ("config", "selected", "bundle", "record")]
+    + [
+        pytest.param(t, "not_utf8", id=f"{t}-not_utf8")
+        for t in ("config", "selected", "bundle", "record", "dataset")
+    ],
+)
+def test_invalid_json_names_the_file(trained, small_reports, tmp_path, capsys, target, damage):
     config, out = trained
     models = tmp_path / "models"
     shutil.copytree(out / "models", models)
     shutil.copy(out / "selected.json", models / "selected.json")
     record = tmp_path / "record.json"
     record.write_text(json.dumps({"id": "SV-X", "description": "crash"}), encoding="utf-8")
+    dataset = tmp_path / "reports.jsonl"
+    shutil.copy(small_reports, dataset)
     patched = json.loads(Path(config).read_text(encoding="utf-8"))
-    patched.update(record=str(record), models=str(models), out=str(tmp_path / "out"))
+    patched.update(
+        dataset=str(dataset), record=str(record), models=str(models), out=str(tmp_path / "out")
+    )
     run = tmp_path / "run.json"
     run.write_text(json.dumps(patched), encoding="utf-8")
     broken = {
@@ -618,12 +641,19 @@ def test_invalid_json_names_the_file(trained, tmp_path, capsys, target):
         "selected": models / "selected.json",
         "bundle": models / "bundle.json",
         "record": record,
+        "dataset": dataset,
     }[target]
     text = broken.read_text(encoding="utf-8")
-    broken.write_text(text[: len(text) // 2], encoding="utf-8")  # truncated
-    command = "evaluate" if target == "selected" else "assess"
+    if damage == "truncated":
+        broken.write_text(text[: len(text) // 2], encoding="utf-8")
+        expected = f"{broken}: invalid JSON: "
+    else:  # a byte that no UTF-8 text holds, inside the first string value
+        cut = text.index('"') + 1
+        broken.write_bytes(text[:cut].encode("utf-8") + b"\xff" + text[cut:].encode("utf-8"))
+        expected = f"{broken}: not UTF-8 text: "
+    command = {"selected": "evaluate", "dataset": "ingest"}.get(target, "assess")
     assert cli.main([command, "--config", str(run)]) == 1
-    assert f"{broken}: invalid JSON: " in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
 
 
 def _evaluate_with_selection(trained, tmp_path, edit):
@@ -939,6 +969,14 @@ def test_mine_without_keywords_exits_one(tmp_path, posts_dataset, capsys):
     config = write_config(tmp_path, posts_dataset, tmp_path / "out")
     assert cli.main(["mine", "--config", str(config)]) == 1
     assert "keyword" in capsys.readouterr().err
+
+
+def test_mine_keywords_not_utf8_names_the_file(tmp_path, posts_dataset, capsys):
+    keywords = tmp_path / "keywords.txt"
+    keywords.write_bytes(b"injection\n\xff\n")
+    config = write_config(tmp_path, posts_dataset, tmp_path / "out", keywords=str(keywords))
+    assert cli.main(["mine", "--config", str(config)]) == 1
+    assert f"{keywords}: not UTF-8 text: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("step", 3), ("site", "XX")])

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from svassess.corpus import (
     CVSS_TASKS,
     CommitRecord,
-    Dataset,
     DiffParseError,
-    FunctionRecord,
     Hunk,
     QaPost,
     SchemaError,
@@ -23,7 +21,6 @@ from svassess.corpus import (
     load_dataset,
     parse_unified_diff,
     serialize_dataset,
-    validate_dataset,
 )
 
 SINGLE_HUNK_DIFF = """\
@@ -256,6 +253,18 @@ def test_load_post_rejects_bad_site(tmp_path):
         load_dataset(path, "post")
 
 
+def test_load_post_rejects_post_without_words(tmp_path):
+    path = tmp_path / "p.jsonl"
+    good = {
+        "id": "q1", "site": "SO", "title": "t", "body": "b",
+        "answers": "", "tags": [], "label": "positive",
+    }
+    empty = {**good, "id": "q2", "title": " ", "body": "\n", "answers": ""}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(empty) + "\n")
+    with pytest.raises(SchemaError, match="^record 1: post has no words$"):
+        load_dataset(path, "post")
+
+
 @pytest.mark.parametrize("kind", ["report", "function", "commit", "post"])
 def test_serialize_round_trip(tmp_path, kind):
     if kind == "report":
@@ -293,32 +302,6 @@ def test_serialize_round_trip(tmp_path, kind):
     path2 = tmp_path / "d2.jsonl"
     path2.write_text(serialize_dataset(ds))
     assert load_dataset(path2, kind) == ds
-
-
-def test_validate_clean_dataset():
-    ds = Dataset(
-        kind="report",
-        records=(
-            SvReport("a", "text", datetime.date(2015, 1, 1), {"Severity": "High"}),
-        ),
-        tasks=("Severity",),
-    )
-    assert validate_dataset(ds) == []
-
-
-def test_validate_reports_violations():
-    rec1 = FunctionRecord(
-        "f1", ("a;", "b;"), frozenset({9}), datetime.date(2015, 1, 1),
-        {"Severity": "High"},
-    )
-    rec2 = FunctionRecord(
-        "f1", ("a;", "b;"), frozenset({0}), datetime.date(2015, 1, 1),
-        {"Severity": "High"},
-    )
-    ds = Dataset(kind="function", records=(rec1, rec2), tasks=("Severity",))
-    issues = validate_dataset(ds)
-    assert ("f1", "duplicate id") in issues
-    assert any("out of range" in msg for _, msg in issues)
 
 
 def test_hunk_pre_range():

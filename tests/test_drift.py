@@ -27,14 +27,14 @@ import oracles
 def word_model(docs, **kw):
     config = NlpConfig(**kw)
     vocab = build_word_vocab(docs, config)
-    model, _ = aggregate_char_word(docs, vocab, Vocabulary({}, {}, "char"), 2, 6, config)
+    model, _ = aggregate_char_word(docs, vocab, Vocabulary({}, {}), 2, 6, config)
     return model
 
 
 def char_model(docs, lo, hi):
     config = NlpConfig(char_min=lo, char_max=hi)
     cvocab = build_char_vocab(docs, config)
-    model, _ = aggregate_char_word(docs, Vocabulary({}, {}, "word"), cvocab, lo, hi, config)
+    model, _ = aggregate_char_word(docs, Vocabulary({}, {}), cvocab, lo, hi, config)
     return model
 
 

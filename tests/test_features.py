@@ -12,10 +12,7 @@ from svassess.features import (
     NlpConfig,
     Vocabulary,
     aggregate_char_word,
-    bag_of_subtokens,
-    bag_of_tokens,
     build_char_vocab,
-    build_subtoken_vocab,
     build_word_vocab,
     standard_configs,
     transform,
@@ -86,8 +83,6 @@ def test_empty_corpus_errors():
         build_word_vocab([], NlpConfig())
     with pytest.raises(ValueError):
         build_char_vocab([], NlpConfig())
-    with pytest.raises(ValueError):
-        build_subtoken_vocab([])
 
 
 def test_aggregate_hello_world_keeps_expected_columns():
@@ -155,7 +150,7 @@ def test_transform_counts_words_and_overlapping_chars():
 def test_transform_all_oov_is_empty():
     config = NlpConfig()
     vocab = build_word_vocab([["known"]], config)
-    model = FeatureModel(word_vocab=vocab, char_vocab=Vocabulary({}, {}, "char"), config=config)
+    model = FeatureModel(word_vocab=vocab, char_vocab=Vocabulary({}, {}), config=config)
     vec = transform(model, ["unseen", "tokens"])
     assert vec.shape == (1, model.width)
     assert vec.nnz == 0 and len(vec.indices) == 0 and len(vec.data) == 0
@@ -165,7 +160,7 @@ def test_idf_two_docs_single_df():
     config = NlpConfig(weighting="tfidf")
     docs = [["apple", "pear"], ["apple", "plum"]]
     word_vocab = build_word_vocab(docs, config)
-    model, _ = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}, "char"), 2, 6, config)
+    model, _ = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}), 2, 6, config)
     col = model.word_vocab.index["pear"]
     assert model.idf[col] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
     assert model.idf[model.word_vocab.index["apple"]] == pytest.approx(1.0)
@@ -175,7 +170,7 @@ def test_tfidf_transform_is_l2_normalized():
     config = NlpConfig(weighting="tfidf")
     docs = [["apple", "pear"], ["apple", "plum"]]
     word_vocab = build_word_vocab(docs, config)
-    model, vectors = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}, "char"), 2, 6, config)
+    model, vectors = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}), 2, 6, config)
     assert vectors.shape[0] == len(docs)
     for vec in vectors:
         assert np.linalg.norm(vec.data) == pytest.approx(1.0, abs=1e-12)
@@ -185,7 +180,7 @@ def test_tf_transform_keeps_raw_counts_by_default():
     config = NlpConfig()
     docs = [["a", "a", "b"]]
     word_vocab = build_word_vocab(docs, config)
-    model, vectors = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}, "char"), 2, 6, config)
+    model, vectors = aggregate_char_word(docs, word_vocab, Vocabulary({}, {}), 2, 6, config)
     dense = vectors.toarray()[0]
     assert dense[model.word_vocab.index["a"]] == 2.0
     assert dense[model.word_vocab.index["b"]] == 1.0
@@ -249,22 +244,6 @@ def test_model_json_round_trip_preserves_transform():
     assert len(obj["idf"]) == model.width
 
 
-def test_subtoken_enumeration_myvar():
-    vocab = build_subtoken_vocab([["MyVar"]], 2, 3)
-    assert set(vocab.index) == {"My", "yV", "Va", "ar", "MyV", "yVa", "Var"}
-    vec = bag_of_subtokens(["MyVar"], vocab, 2, 3)
-    assert vec.toarray().tolist() == [[1.0] * 7]
-
-
-def test_bag_of_tokens_counts_whole_tokens():
-    vocab = Vocabulary.from_df({"if": 1, "x": 2}, "word")
-    vec = bag_of_tokens(["if", "x", "x", "unknown"], vocab)
-    assert vec.shape == (1, 2)
-    dense = vec.toarray()[0]
-    assert dense[vocab.index["if"]] == 1.0
-    assert dense[vocab.index["x"]] == 2.0
-
-
 def test_vectors_to_csr_round_trip():
     vecs = [
         sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 2.0, 0.0]])),
@@ -309,7 +288,7 @@ def test_property_tfidf_norm_and_disjoint_vocabs(docs):
 def test_property_transform_width_and_determinism(docs, probe):
     config = NlpConfig(word_ngram_max=2)
     vocab = build_word_vocab(docs, config)
-    model, _ = aggregate_char_word(docs, vocab, Vocabulary({}, {}, "char"), 2, 6, config)
+    model, _ = aggregate_char_word(docs, vocab, Vocabulary({}, {}), 2, 6, config)
     first = transform(model, probe)
     second = transform(model, probe)
     assert_csr_identical(first, second)

@@ -24,7 +24,6 @@ from svassess.models import (
     kmeans_assign,
     kmeans_fit,
     predict,
-    random_oversample,
     standard_classifier_grid,
     train_classifier,
     train_linear_stack,
@@ -465,43 +464,6 @@ def test_xcva_errors():
         xcva_decode("A=x|Boom", tasks)
     with pytest.raises(ValueError):
         xcva_decode("B=y|A=x", tasks)
-
-
-def test_ros_balances_to_majority_and_keeps_originals():
-    x = np.arange(8.0).reshape(4, 2)
-    y = ["A", "A", "A", "B"]
-    rx, ry = random_oversample(x, y, seed=0)
-    assert sorted(ry) == ["A", "A", "A", "B", "B", "B"]
-    assert np.array_equal(rx[:4], x)
-    again_x, again_y = random_oversample(x, y, seed=0)
-    assert np.array_equal(rx, again_x) and ry == again_y
-    # feature-layer output is CSR: the same rows come back, still sparse
-    sx, sy = random_oversample(sparse.csr_matrix(x), y, seed=0)
-    assert sparse.issparse(sx) and sy == ry
-    assert np.array_equal(sx.toarray(), rx)
-
-
-def test_ros_balanced_and_single_class_unchanged():
-    x = np.eye(4)
-    _, ry = random_oversample(x, ["A", "B", "A", "B"], seed=1)
-    assert sorted(ry) == ["A", "A", "B", "B"]
-    lone_x, lone_y = random_oversample(np.eye(2), ["A", "A"], seed=1)
-    assert lone_y == ["A", "A"] and lone_x.shape == (2, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    labels=st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=20),
-    seed=st.integers(0, 1000),
-)
-def test_property_ros_counts_all_equal_majority(labels, seed):
-    x = np.arange(len(labels) * 2, dtype=float).reshape(len(labels), 2)
-    rx, ry = random_oversample(x, labels, seed=seed)
-    counts = {c: ry.count(c) for c in set(labels)}
-    assert len(set(counts.values())) == 1
-    assert max(counts.values()) == max(labels.count(c) for c in set(labels))
-    assert ry[: len(labels)] == labels
-    assert np.array_equal(rx[: len(labels)], x)
 
 
 # -- load-time checks --------------------------------------------------------

@@ -18,7 +18,6 @@ from svassess.neural import (
     backward_batch,
     forward,
     forward_batch,
-    history_csv,
     init_parameters,
     load_parameters,
     make_commit_input,
@@ -544,14 +543,6 @@ def test_train_accepts_numpy_integer_labels():
     ]
     _, history = train_acgru(cfg, data, data)
     assert len(history) == 1
-
-
-def test_history_csv_format():
-    text = history_csv([(1, 0.5, 0.25), (2, 0.4, 0.5)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "epoch,train_loss,val_mcc"
-    assert lines[1] == "1,0.5,0.25"
-    assert len(lines) == 3
 
 
 def test_prediction_tie_breaks_to_lowest_index():

@@ -144,6 +144,25 @@ def test_filter_jsonl_annotations():
     assert row == {"id": "q7", "site": "SO", "kw_count": 1, "kw_ratio": 0.25}
 
 
+def test_filter_jsonl_scores_each_post_once(monkeypatch):
+    import json
+
+    import svassess.pumine as pumine
+
+    texts = []
+    real = pumine.keyword_metrics
+
+    def counting(text, keywords):
+        texts.append(text)
+        return real(text, keywords)
+
+    monkeypatch.setattr(pumine, "keyword_metrics", counting)
+    posts = [make_post("fix the xss now", post_id="q1"), make_post("plain words", post_id="q2")]
+    text = content_filter_jsonl(posts, "SO", 1, ContentFilterConfig(), SECURITY_KWS)
+    assert [json.loads(line)["id"] for line in text.splitlines()] == ["q1"]
+    assert texts == [post.text for post in posts]
+
+
 # ---------------------------------------------------------------------------
 # Stage-1 PU: reliable negatives
 # ---------------------------------------------------------------------------

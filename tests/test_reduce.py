@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from svassess.reduce import (
-    EmbeddingTable,
-    average_embedding,
-    load_embedding_table,
-    lsa_fit,
-    lsa_transform_many,
-    save_embedding_table,
-)
+from svassess.reduce import lsa_fit, lsa_transform_many
 
 from oracles import jacobi_svd, rank_k_reconstruction_error
 
@@ -135,40 +128,3 @@ def test_fit_is_deterministic_per_seed():
     assert np.array_equal(one.components, two.components)
     assert np.array_equal(one.singular_values, two.singular_values)
 
-
-def test_embedding_table_round_trip(tmp_path):
-    table = EmbeddingTable(
-        vectors={"alpha": np.array([1.0, 2.0]), "beta": np.array([-0.5, 0.25])},
-        dim=2,
-    )
-    path = tmp_path / "emb.txt"
-    save_embedding_table(table, path)
-    loaded = load_embedding_table(path)
-    assert loaded.dim == 2
-    assert set(loaded.vectors) == {"alpha", "beta"}
-    assert np.array_equal(loaded.vectors["alpha"], [1.0, 2.0])
-
-
-def test_embedding_file_errors(tmp_path):
-    bad_dim = tmp_path / "bad.txt"
-    bad_dim.write_text("a 1.0 2.0\nb 1.0\n")
-    with pytest.raises(ValueError, match="dimension"):
-        load_embedding_table(bad_dim)
-    bad_value = tmp_path / "nonnum.txt"
-    bad_value.write_text("a 1.0 oops\n")
-    with pytest.raises(ValueError, match="non-numeric"):
-        load_embedding_table(bad_value)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n")
-    with pytest.raises(ValueError):
-        load_embedding_table(empty)
-
-
-def test_average_embedding_skips_unknown_tokens():
-    table = EmbeddingTable(
-        vectors={"a": np.array([2.0, 0.0]), "b": np.array([0.0, 4.0])}, dim=2
-    )
-    assert np.array_equal(average_embedding(table, ["a", "b"]), [1.0, 2.0])
-    assert np.array_equal(average_embedding(table, ["a", "zzz"]), [2.0, 0.0])
-    assert np.array_equal(average_embedding(table, ["zzz"]), [0.0, 0.0])
-    assert np.array_equal(average_embedding(table, []), [0.0, 0.0])

@@ -13,7 +13,6 @@ from svassess.textprep import (
     preprocess_text,
     scan_code,
     scan_lines,
-    strip_noncode_lines,
     tokenize_code,
 )
 
@@ -141,21 +140,17 @@ def test_tokenize_code_concatenation_stable(parts):
     assert tokenize_code(joined) == expect
 
 
-def test_strip_noncode_lines_example():
-    kept, index_map = strip_noncode_lines(["", "// c", "x=1;"])
-    assert kept == ["x=1;"]
-    assert index_map == {0: 2}
+def test_code_line_mask_blank_and_line_comment():
+    assert code_line_mask(["", "// c", "x=1;"]) == [False, False, True]
 
 
-def test_strip_noncode_all_comments():
-    assert strip_noncode_lines(["// a", "/* b */", ""]) == ([], {})
+def test_code_line_mask_all_comments():
+    assert code_line_mask(["// a", "/* b */", ""]) == [False, False, False]
 
 
-def test_strip_noncode_multiline_comment():
+def test_code_line_mask_multiline_comment():
     lines = ["int a;", "/* one", "   two", "   three */", "int b;"]
-    kept, index_map = strip_noncode_lines(lines)
-    assert kept == ["int a;", "int b;"]
-    assert index_map == {0: 0, 1: 4}
+    assert code_line_mask(lines) == [True, False, False, False, True]
 
 
 def test_code_line_mask_string_shields_comment_markers():
