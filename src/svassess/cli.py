@@ -47,10 +47,7 @@ from .evaluation import (
     rounds10_wrap_splits,
     time_kfold_splits,
 )
-from .features import (
-    FeatureModel, aggregate_char_word, build_char_vocab, build_word_vocab,
-    standard_configs, transform, transform_many,
-)
+from .features import FeatureModel, fit_configs, standard_configs, transform
 from .models import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -265,12 +262,13 @@ def _split_plan(cfg: PipelineConfig, records):
     return rounds10_wrap_splits(records, seed=cfg.seed)
 
 
-def _fit_features(docs, nlp_config):
-    word_vocab = build_word_vocab(docs, nlp_config)
-    char_vocab = build_char_vocab(docs, nlp_config)
-    return aggregate_char_word(
-        docs, word_vocab, char_vocab, nlp_config.char_min, nlp_config.char_max, nlp_config
-    )
+def _fit_one(docs, nlp_config):
+    """One feature config's model and the matrix of the docs it was fitted on."""
+    fitted = next(fit_configs(docs, [nlp_config]))
+    if isinstance(fitted, ValueError):
+        raise fitted
+    model, matrix, _ = fitted
+    return model, matrix
 
 
 @dataclass(frozen=True)
@@ -348,7 +346,7 @@ def _cmd_featurize(cfg: PipelineConfig) -> int:
     ds = load_dataset(_require_dataset(cfg), cfg.granularity)
     docs = [_tokenize(r, cfg.granularity) for r in ds]
     nlp = standard_configs()[cfg.feature_configs[0] - 1]
-    model, matrix = _fit_features(docs, nlp)
+    model, matrix = _fit_one(docs, nlp)
     out = Path(cfg.out)
     (out / "feature_model.json").write_text(model.to_json() + "\n", encoding="utf-8")
     stats = {
@@ -378,12 +376,14 @@ def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
     """Fold reports of every (task, grid point) in fold order, or the
     error text of the point's first failing fold.
 
-    Each feature config is fitted once per fold; the fold's matrices serve
-    every task and classifier on that config in one `fit_many` call, then
-    are dropped.  A `ValueError` (a data condition: a single-class fold, k
+    Each fold's feature configs are fitted in one shared pass
+    (`fit_configs`); a config's matrices serve every task and classifier
+    on it in one `fit_many` call, then are dropped before the next config
+    is weighed.  A `ValueError` (a data condition: a single-class fold, k
     above the sample count) fails the point and skips its later folds -
-    raised by featurizing, every live point of the config.  Other
-    exceptions are bugs and propagate.
+    raised by featurizing, every live point of the config; a config
+    without live points is not featurized.  Other exceptions are bugs and
+    propagate.
     """
     results = {
         (task, point): [] for task, points in points_by_task.items() for point in points
@@ -396,32 +396,39 @@ def _score_folds(docs, labels, plan, points_by_task, seed: int) -> dict:
         results[key] = f"{type(exc).__name__}: {exc}"
         logger.warning("task %r, %s failed: %s", key[0], key[1].describe(), results[key])
 
-    for config, keys in by_config.items():
-        nlp = standard_configs()[config - 1]
-        for fold in plan:
-            live = [key for key in keys if isinstance(results[key], list)]
-            if not live:
-                break
+    def score(fold, live, train, val):
+        jobs = [
+            (point.classifier, [labels[task][i] for i in fold.train_ids]) for task, point in live
+        ]
+        for key, clf in zip(live, fit_many(train, jobs, seed)):
             try:
-                model, train = _fit_features([docs[i] for i in fold.train_ids], nlp)
-                val = transform_many(model, [docs[i] for i in fold.val_ids])
+                if isinstance(clf, ValueError):
+                    raise clf
+                gold = [labels[key[0]][i] for i in fold.val_ids]
+                results[key].append(compute_metrics(gold, predict(clf, val)[0]))
             except ValueError as exc:
-                for key in live:
-                    fail(key, exc)
-                continue
+                fail(key, exc)
 
-            jobs = [
-                (point.classifier, [labels[task][i] for i in fold.train_ids])
-                for task, point in live
-            ]
-            for key, clf in zip(live, fit_many(train, jobs, seed)):
-                try:
-                    if isinstance(clf, ValueError):
-                        raise clf
-                    gold = [labels[key[0]][i] for i in fold.val_ids]
-                    results[key].append(compute_metrics(gold, predict(clf, val)[0]))
-                except ValueError as exc:
-                    fail(key, exc)
+    for fold in plan:
+        live_by_config = {}
+        for config, keys in by_config.items():
+            live = [key for key in keys if isinstance(results[key], list)]
+            if live:
+                live_by_config[config] = live
+        if not live_by_config:
+            break
+        fitted_configs = fit_configs(
+            [docs[i] for i in fold.train_ids],
+            [standard_configs()[config - 1] for config in live_by_config],
+            [docs[i] for i in fold.val_ids],
+        )
+        for live, fitted in zip(live_by_config.values(), fitted_configs):
+            if isinstance(fitted, ValueError):
+                for key in live:
+                    fail(key, fitted)
+                continue
+            score(fold, live, fitted[1], fitted[2])
+            del fitted  # drop this config's matrices before the next is weighed
     return results
 
 
@@ -458,18 +465,24 @@ def _cmd_train(cfg: PipelineConfig) -> int:
             "n_folds": best.n_folds,
         }
         print(f"{task}: {best.spec.describe()} acc={best.mean_scores['accuracy']:.4f}")
-    # refit the winners on every record: one feature fit per winning config,
-    # one `fit_many` call for all of its winners
+    # refit the winners on every record: one shared feature pass over the
+    # winning configs, one `fit_many` call for all winners of each
     feature_models = {}
     tasks = {}
-    for config, bests in winners.items():
-        model, matrix = _fit_features(list(docs.values()), standard_configs()[config - 1])
+    fitted_configs = fit_configs(
+        list(docs.values()), [standard_configs()[config - 1] for config in winners]
+    )
+    for (config, bests), fitted in zip(winners.items(), fitted_configs):
+        if isinstance(fitted, ValueError):
+            raise fitted
+        model, matrix, _ = fitted
         feature_models[str(config)] = model.to_dict()
         jobs = [(best.spec.classifier, list(labels[task].values())) for task, best in bests]
         for (task, _), clf in zip(bests, fit_many(matrix, jobs, cfg.seed)):
             if isinstance(clf, ValueError):
                 raise ValueError(f"task {task!r}: {clf}") from clf
             tasks[task] = {"feature_config": config, "classifier": clf.to_dict()}
+        del fitted, matrix  # drop this config's matrix before the next is weighed
     bundle = {"granularity": cfg.granularity, "feature_models": feature_models, "tasks": tasks}
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -589,7 +602,7 @@ def _cmd_drift(cfg: PipelineConfig) -> int:
     if not train_docs:  # single-year corpus: no held-out year to contrast
         train_docs = [tokens for _, _, tokens in dated]
     nlp = standard_configs()[cfg.feature_configs[0] - 1]
-    model, _ = _fit_features(train_docs, nlp)
+    model, _ = _fit_one(train_docs, nlp)
     report = drift_report(model, dated)
     out = Path(cfg.out)
     (out / "drift.json").write_text(report.to_json() + "\n", encoding="utf-8")

@@ -471,8 +471,8 @@ def utf8_lines(path):
 def load_dataset(path, kind: str) -> Dataset:
     """Load and validate a JSONL dataset of the given kind.
 
-    Errors carry the 0-based record index and offending field; duplicate
-    ids are rejected.  Record order is file order.
+    Errors name the file, the 0-based record index and the offending
+    field; duplicate ids are rejected.  Record order is file order.
     """
     records = []
     seen_ids: set[str] = set()
@@ -481,7 +481,7 @@ def load_dataset(path, kind: str) -> Dataset:
     for line in utf8_lines(path):
         if not line.strip():
             continue
-        where = f"record {idx}"
+        where = f"{path}: record {idx}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

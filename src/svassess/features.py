@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
 from .corpus import check_value, from_fields, require_keys
+
+_WHITESPACE = re.compile(r"\s")  # what `str.split` splits on
 
 
 @dataclass(frozen=True)
@@ -89,19 +94,19 @@ class Vocabulary:
 
 def _rows_to_csr(rows, width: int) -> sparse.csr_matrix:
     """One CSR over per-row {column: value} dicts: each row's non-zero
-    items in column order, zero values dropped."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for counts in rows:
-        items = sorted((i, v) for i, v in counts.items() if v != 0.0)
-        indices.extend(i for i, _ in items)
-        data.extend(v for _, v in items)
+    items in column order, zero values dropped.  The rows are read once,
+    into typed arrays, so a generator of rows is never held whole."""
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
+    for row in rows:
+        indices.extend(row)
+        data.extend(row.values())
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, width),
+    matrix = sparse.csr_matrix(
+        (np.array(data), np.array(indices), np.array(indptr)), shape=(len(indptr) - 1, width)
     )
+    matrix.sort_indices()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def vectors_to_csr(rows: list[sparse.spmatrix]) -> sparse.csr_matrix:
@@ -125,20 +130,11 @@ def build_word_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
     if not docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     n_docs = len(docs)
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for tokens in docs:
-        for gram in set(_word_ngrams(tokens, config.word_ngram_min, config.word_ngram_max)):
-            df[gram] = df.get(gram, 0) + 1
+        df.update(set(_word_ngrams(tokens, config.word_ngram_min, config.word_ngram_max)))
     kept = {t: c for t, c in df.items() if c / n_docs > config.word_min_doc_fraction}
     return Vocabulary.from_df(kept)
-
-
-def _char_grams(joined: str, lo: int, hi: int):
-    for n in range(lo, hi + 1):
-        for i in range(len(joined) - n + 1):
-            gram = joined[i : i + n]
-            if gram.strip():  # a gram of only spaces carries nothing
-                yield gram
 
 
 def build_char_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
@@ -146,21 +142,25 @@ def build_char_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
 
     Source words are those whose df/N strictly exceeds
     char_word_doc_fraction; each doc contributes grams over its own
-    high-df words joined by single spaces, n in [char_min, char_max].
+    high-df words joined by single spaces, n in [char_min, char_max].  A
+    gram of only spaces carries nothing and is dropped.
     """
     if not docs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     n_docs = len(docs)
-    word_df: dict[str, int] = {}
+    word_df: Counter[str] = Counter()
     for tokens in docs:
-        for tok in set(tokens):
-            word_df[tok] = word_df.get(tok, 0) + 1
+        word_df.update(set(tokens))
     high = {t for t, c in word_df.items() if c / n_docs > config.char_word_doc_fraction}
-    df: dict[str, int] = {}
+    lo, hi = config.char_min, config.char_max
+    df: Counter[str] = Counter()
     for tokens in docs:
         joined = " ".join(t for t in tokens if t in high)
-        for gram in set(_char_grams(joined, config.char_min, config.char_max)):
-            df[gram] = df.get(gram, 0) + 1
+        df.update(
+            {joined[i : i + n] for n in range(lo, hi + 1) for i in range(len(joined) - n + 1)}
+        )
+    for gram in [g for g in df if not g.strip()]:
+        del df[gram]
     return Vocabulary.from_df(df)
 
 
@@ -193,10 +193,19 @@ class FeatureModel:
         weighting."""
         require_keys(obj, ("config", "word_vocab", "char_vocab", "idf"), where, exact=True)
         config = from_fields(NlpConfig, obj["config"], f"{where}, key 'config'")
-        word_terms = check_value(obj["word_vocab"], tuple[str, ...], f"{where}, key 'word_vocab'")
-        char_terms = check_value(obj["char_vocab"], tuple[str, ...], f"{where}, key 'char_vocab'")
-        word = Vocabulary(index={t: i for i, t in enumerate(word_terms)}, df={})
-        char = Vocabulary(index={t: i for i, t in enumerate(char_terms)}, df={})
+        word_where, char_where = f"{where}, key 'word_vocab'", f"{where}, key 'char_vocab'"
+        word_terms = check_value(obj["word_vocab"], tuple[str, ...], word_where)
+        char_terms = check_value(obj["char_vocab"], tuple[str, ...], char_where)
+        # what `trim_char_terms` keeps, and what the char counter relies on
+        lo, hi = max(2, config.char_min), config.char_max
+        spaced = _WHITESPACE.search("".join(char_terms))
+        if spaced or not set(map(len, char_terms)) <= set(range(lo, hi + 1)):
+            bad = next(t for t in char_terms if t.split() != [t] or not lo <= len(t) <= hi)
+            raise ValueError(
+                f"{char_where}: term {bad!r} is not {lo} to {hi} chars without whitespace"
+            )
+        word = Vocabulary(index=_term_index(word_terms, word_where), df={})
+        char = Vocabulary(index=_term_index(char_terms, char_where), df={})
         idf = check_value(obj["idf"], np.ndarray | None, f"{where}, key 'idf'")
         if (idf is not None) != (config.weighting == "tfidf"):
             state = "has" if idf is not None else "lacks"
@@ -211,6 +220,16 @@ class FeatureModel:
     @classmethod
     def from_json(cls, text: str) -> "FeatureModel":
         return cls.from_dict(json.loads(text))
+
+
+def _term_index(terms: tuple[str, ...], where: str) -> dict[str, int]:
+    """Column of each term, rejecting a term listed twice (it would shift
+    every later column)."""
+    index = {t: i for i, t in enumerate(terms)}
+    if len(index) < len(terms):
+        repeated = next(t for t, n in Counter(terms).items() if n > 1)
+        raise ValueError(f"{where}: duplicate term {repeated!r}")
+    return index
 
 
 def _smoothed_idf(n_docs: int, df: int) -> float:
@@ -233,28 +252,44 @@ def trim_char_terms(char_vocab: Vocabulary, char_min: int, char_max: int) -> set
     return kept
 
 
-def _count(model: FeatureModel, tokens: list[str], char_lengths: set[int]) -> dict[int, float]:
-    """Word part: n-gram occurrence counts.  Char part: overlapping
-    substring occurrences of each stored term (whose lengths are
-    `char_lengths`) over the space-joined token stream.  Unseen terms
-    contribute nothing."""
-    config = model.config
-    counts: dict[int, float] = {}
-    word_index = model.word_vocab.index
-    for gram in _word_ngrams(tokens, config.word_ngram_min, config.word_ngram_max):
-        col = word_index.get(gram)
-        if col is not None:
-            counts[col] = counts.get(col, 0.0) + 1.0
-    if char_lengths:
-        offset = len(model.word_vocab)
-        char_index = model.char_vocab.index
-        joined = " ".join(tokens)
-        for length in char_lengths:
-            for i in range(len(joined) - length + 1):
-                col = char_index.get(joined[i : i + length])
-                if col is not None:
-                    counts[offset + col] = counts.get(offset + col, 0.0) + 1.0
-    return counts
+def _word_rows(word_index: dict[str, int], lo: int, hi: int, docs) -> list[dict[int, float]]:
+    """Per doc, {column: count} of its word n-grams in `word_index`, in
+    order of first occurrence."""
+    rows = []
+    for tokens in docs:
+        counts = Counter(g for g in _word_ngrams(tokens, lo, hi) if g in word_index)
+        rows.append({word_index[g]: float(n) for g, n in counts.items()})
+    return rows
+
+
+def _char_rows(char_index: dict[str, int], docs) -> list[dict[int, float]]:
+    """Per doc, {column: count} of the overlapping occurrences of each
+    term of `char_index` in the doc's space-joined tokens.
+
+    A term holds no whitespace (`trim_char_terms`, `FeatureModel.from_dict`),
+    so no occurrence spans two tokens: each distinct token's hits are
+    found once per length, for this call only.  Hits are merged length
+    first (as the set of term lengths iterates), then token, then
+    position: the order of a scan over the joined text, so each row's
+    insertion order, and with it `_weigh`'s L2 sum, is that scan's.
+    """
+    lengths = {len(t) for t in char_index}
+    get = char_index.get
+    hits: dict[str, list[list[int]]] = {}  # token -> its hit columns per length
+    rows = []
+    for tokens in docs:
+        for tok in tokens:
+            if tok not in hits:
+                hits[tok] = [
+                    [c for i in range(len(tok) - n + 1) if (c := get(tok[i : i + n])) is not None]
+                    for n in lengths
+                ]
+        per_token = [hits[tok] for tok in tokens]
+        counts = Counter(chain.from_iterable(
+            h[k] for k in range(len(lengths)) for h in per_token
+        ))
+        rows.append({col: float(n) for col, n in counts.items()})
+    return rows
 
 
 def _weigh(model: FeatureModel, counts: dict[int, float]) -> dict[int, float]:
@@ -266,6 +301,50 @@ def _weigh(model: FeatureModel, counts: dict[int, float]) -> dict[int, float]:
         if norm > 0:
             counts = {i: v / norm for i, v in counts.items()}
     return counts
+
+
+def _trimmed_char_part(char_vocab: Vocabulary, char_min: int, char_max: int, docs, n_fit: int):
+    """The model's char vocabulary (trimmed terms, df over the first
+    `n_fit` docs) and every doc's char count row."""
+    kept = trim_char_terms(char_vocab, char_min, char_max)
+    final_char = Vocabulary.from_df(dict.fromkeys(kept, 0))
+    rows = _char_rows(final_char.index, docs)
+    char_df = Counter(chain.from_iterable(rows[:n_fit]))
+    final_char.df = {t: char_df[col] for t, col in final_char.index.items()}
+    return final_char, rows
+
+
+def _word_part(word_vocab: Vocabulary, final_char: Vocabulary, lo: int, hi: int, docs):
+    """The model's word vocabulary (the terms no char term shadows) and
+    every doc's word count row."""
+    final_word = Vocabulary.from_df(
+        {t: word_vocab.df.get(t, 1) for t in word_vocab.index if t not in final_char.index}
+    )
+    return final_word, _word_rows(final_word.index, lo, hi, docs)
+
+
+def _weighted_csr(model: FeatureModel, word_rows, char_rows) -> sparse.csr_matrix:
+    """Each doc's word counts, then its char counts moved past the word
+    columns, weighed by `model`: one CSR, built one doc at a time."""
+    offset = len(model.word_vocab)
+    rows = (
+        {**w, **{offset + col: n for col, n in c.items()}} for w, c in zip(word_rows, char_rows)
+    )
+    return _rows_to_csr((_weigh(model, row) for row in rows), model.width)
+
+
+def _weighted_model(final_word, final_char, config: NlpConfig, n_docs: int) -> FeatureModel:
+    """The model over both vocabularies, with its smoothed idf under tf-idf."""
+    model = FeatureModel(word_vocab=final_word, char_vocab=final_char, config=config)
+    if config.weighting == "tfidf":
+        offset = len(final_word)
+        idf = np.empty(model.width)
+        for term, col in final_word.index.items():
+            idf[col] = _smoothed_idf(n_docs, final_word.df.get(term, 0))
+        for term, col in final_char.index.items():
+            idf[offset + col] = _smoothed_idf(n_docs, final_char.df[term])
+        model.idf = idf
+    return model
 
 
 def aggregate_char_word(
@@ -287,44 +366,74 @@ def aggregate_char_word(
     """
     if not (1 <= char_min <= char_max):
         raise ValueError("inconsistent char range for aggregation")
-    slt_chars = trim_char_terms(char_vocab, char_min, char_max)
-    diff_words = {
-        t: word_vocab.df.get(t, 1) for t in word_vocab.index if t not in slt_chars
-    }
-    final_word = Vocabulary.from_df(diff_words)
-    final_char = Vocabulary.from_df(dict.fromkeys(slt_chars, 0))  # df below
-    model = FeatureModel(
-        word_vocab=final_word,
-        char_vocab=final_char,
-        config=replace(config, char_min=char_min, char_max=char_max),
+    final_char, char_rows = _trimmed_char_part(char_vocab, char_min, char_max, docs, len(docs))
+    final_word, word_rows = _word_part(
+        word_vocab, final_char, config.word_ngram_min, config.word_ngram_max, docs
     )
-    char_lengths = {len(t) for t in final_char.index}
-    counts = [_count(model, tokens, char_lengths) for tokens in docs]
-    offset = len(final_word)
-    char_df = Counter(col for row in counts for col in row if col >= offset)
-    final_char.df = {t: char_df[offset + col] for t, col in final_char.index.items()}
+    config = replace(config, char_min=char_min, char_max=char_max)
+    model = _weighted_model(final_word, final_char, config, len(docs))
+    return model, _weighted_csr(model, word_rows, char_rows)
 
-    if config.weighting == "tfidf":
-        n_docs = len(docs)
-        idf = np.empty(model.width)
-        for term, col in final_word.index.items():
-            idf[col] = _smoothed_idf(n_docs, final_word.df.get(term, 0))
-        for term, col in final_char.index.items():
-            idf[offset + col] = _smoothed_idf(n_docs, final_char.df[term])
-        model.idf = idf
-    return model, _rows_to_csr((_weigh(model, row) for row in counts), model.width)
+
+def fit_configs(docs: list[list[str]], configs, val_docs=()):
+    """For each config in order, fit a feature model on `docs` and yield
+    (model, CSR of `docs`, CSR of `val_docs` under the model), or the
+    `ValueError` fitting it raised.  The model and the `docs` matrix are
+    those of `aggregate_char_word` over the config's own vocabularies.
+
+    Configs share what they have in common, for this call only: the char
+    vocabulary and every doc's char counts once per char settings, the
+    word vocabulary once per word settings and the word counts once per
+    (word, char) settings pair.  Each config then only merges and weighs
+    the shared counts, one doc at a time.  Every result equals fitting its
+    config alone bit for bit.  The generator holds no yielded matrix, so a
+    caller that drops each result before asking for the next keeps one
+    config's matrices alive.
+    """
+    all_docs = [*docs, *val_docs]
+    n_fit = len(docs)
+    char_parts: dict[tuple, tuple] = {}  # char settings -> (char vocab, rows)
+    word_vocabs: dict[tuple, Vocabulary] = {}  # word settings -> word vocab
+    word_parts: dict[tuple, tuple] = {}  # (word, char settings) -> (word vocab, word rows)
+    for config in configs:
+        char_key = (config.char_min, config.char_max, config.char_word_doc_fraction)
+        word_key = (config.word_ngram_min, config.word_ngram_max, config.word_min_doc_fraction)
+        try:
+            if char_key not in char_parts:
+                char_parts[char_key] = _trimmed_char_part(
+                    build_char_vocab(docs, config), config.char_min, config.char_max,
+                    all_docs, n_fit,
+                )
+            final_char, char_rows = char_parts[char_key]
+            if word_key not in word_vocabs:
+                word_vocabs[word_key] = build_word_vocab(docs, config)
+            if (word_key, char_key) not in word_parts:
+                word_parts[word_key, char_key] = _word_part(
+                    word_vocabs[word_key], final_char, config.word_ngram_min,
+                    config.word_ngram_max, all_docs,
+                )
+        except ValueError as exc:
+            yield exc
+            continue
+        final_word, word_rows = word_parts[word_key, char_key]
+        model = _weighted_model(final_word, final_char, config, n_fit)
+        yield (
+            model,
+            _weighted_csr(model, word_rows[:n_fit], char_rows[:n_fit]),
+            _weighted_csr(model, word_rows[n_fit:], char_rows[n_fit:]),
+        )
 
 
 def transform_many(model: FeatureModel, docs: list[list[str]]) -> sparse.csr_matrix:
     """Doc token lists -> one CSR row each of counts (or tf-idf) over the
     model's columns."""
-    char_lengths = {len(t) for t in model.char_vocab.index}
-    return _rows_to_csr(
-        (_weigh(model, _count(model, t, char_lengths)) for t in docs), model.width
+    config = model.config
+    word_rows = _word_rows(
+        model.word_vocab.index, config.word_ngram_min, config.word_ngram_max, docs
     )
+    return _weighted_csr(model, word_rows, _char_rows(model.char_vocab.index, docs))
 
 
 def transform(model: FeatureModel, tokens: list[str]) -> sparse.csr_matrix:
     """One document as a one-row CSR; see `transform_many`."""
     return transform_many(model, [tokens])
-

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svassess import cli, models
+from svassess import cli, features, models
 from svassess.corpus import CVSS_TASKS
 from svassess.models import ClassifierSpec, train_classifier
 from svassess.pumine import ContentFilterConfig
@@ -310,26 +311,85 @@ def test_failed_grid_points_are_logged_once(tmp_path, small_reports, caplog, cap
         assert error in matches[0].replace(",", ";")
 
 
-def test_fit_features_once_per_config_and_fold(tmp_path, small_reports, monkeypatch, capsys):
-    calls = []
-    fit_features = cli._fit_features
+def test_feature_pass_builds_each_vocabulary_once_per_fold(
+    tmp_path, small_reports, monkeypatch, capsys
+):
+    calls = []  # (builder, docs it was given)
+    for name in ("build_word_vocab", "build_char_vocab"):
+        def counted(docs, config, _build=getattr(features, name), _name=name):
+            calls.append((_name, len(docs)))
+            return _build(docs, config)
 
-    def counted(docs, nlp_config):
-        calls.append(nlp_config)
-        return fit_features(docs, nlp_config)
-
-    monkeypatch.setattr(cli, "_fit_features", counted)
+        monkeypatch.setattr(features, name, counted)
+    n_records = len(small_reports.read_text(encoding="utf-8").splitlines())
     out = tmp_path / "out"
-    config = write_config(tmp_path, small_reports, out, feature_configs=[1, 2])
-    assert cli.main(["train", "--config", str(config)]) == 0
-    selected = json.loads((out / "selected.json").read_text(encoding="utf-8"))
-    winners = {choice["feature_config"] for choice in selected.values()}
-    # 2 configs x 2 folds, then one full fit per distinct winning config
-    assert len(calls) == 2 * 2 + len(winners)
-    calls.clear()
-    assert cli.main(["evaluate", "--config", str(config)]) == 0
+
+    def run(command, feature_configs):
+        """Vocabulary builds on the folds and on every record (the refit)."""
+        calls.clear()
+        config = write_config(tmp_path, small_reports, out, feature_configs=feature_configs)
+        assert cli.main([command, "--config", str(config)]) == 0
+        capsys.readouterr()
+        on_folds = Counter(name for name, n in calls if n < n_records)
+        on_all = Counter(name for name, n in calls if n == n_records)
+        return on_folds, on_all
+
+    def winners():
+        selected = json.loads((out / "selected.json").read_text(encoding="utf-8"))
+        return {choice["feature_config"] for choice in selected.values()}
+
+    # configs 1 and 8 share their char settings, not their n-gram range:
+    # 2 folds x 1 char vocabulary, 2 folds x 2 word vocabularies, then one
+    # refit pass over the winning configs
+    on_folds, on_all = run("train", [1, 8])
+    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2 * 2}
+    assert on_all == {"build_char_vocab": 1, "build_word_vocab": len(winners())}
+    on_folds, on_all = run("evaluate", [1, 8])
+    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2 * len(winners())}
+    assert not on_all
+    # configs 1 and 2 also share their n-gram range
+    on_folds, on_all = run("train", [1, 2])
+    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2}
+    assert on_all == {"build_char_vocab": 1, "build_word_vocab": 1}
+    on_folds, on_all = run("evaluate", [1, 2])
+    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2}
+    assert not on_all
+
+
+def test_feature_error_fails_every_point_of_its_config_once(
+    tmp_path, small_reports, monkeypatch, caplog, capsys
+):
+    ranges = []
+    build = features.build_word_vocab
+
+    def failing(docs, config):
+        ranges.append(config.word_ngram_max)
+        if config.word_ngram_max == 4:  # config 8's range; config 1 fits
+            raise ValueError("no room for 4-grams")
+        return build(docs, config)
+
+    monkeypatch.setattr(features, "build_word_vocab", failing)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, small_reports, out, feature_configs=[1, 8])
+    with caplog.at_level(logging.WARNING, logger="svassess"):
+        assert cli.main(["train", "--config", str(config)]) == 0
     capsys.readouterr()
-    assert len(calls) == len(winners) * 2
+    # config 8 fails on the first fold and is not featurized again
+    assert ranges.count(4) == 1
+    failed = []
+    for task in CVSS_TASKS:
+        slug = task.lower().replace(" ", "_")
+        for row in (out / f"grid_{slug}.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            point, *_, error = row.rsplit(",", 8)
+            if point.startswith("nlp8|"):
+                assert error == "ValueError: no room for 4-grams", row
+                failed.append((task, point))
+            else:
+                assert not error, row
+    logged = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert failed and len(logged) == len(failed)
+    for task, point in failed:
+        assert sum(f"task {task!r}, {point} failed" in m for m in logged) == 1
 
 
 def _train_stack_widths(tmp_path, small_reports, monkeypatch, classifiers):

@@ -1,6 +1,7 @@
 import datetime
 import difflib
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,14 +156,14 @@ def test_load_missing_field_names_record_and_field(tmp_path):
     obj = json.loads(_report_line())
     del obj["description"]
     path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(SchemaError, match="record 0.*description"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 0: .*description"):
         load_dataset(path, "report")
 
 
 def test_load_duplicate_id_rejected(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text(_report_line() + "\n" + _report_line() + "\n")
-    with pytest.raises(SchemaError, match="duplicate id"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 1: duplicate id"):
         load_dataset(path, "report")
 
 
@@ -171,7 +172,7 @@ def test_load_inconsistent_tasks_rejected(tmp_path):
     second = json.loads(_report_line(rid="CVE-2"))
     second["labels"] = {"Severity": "High"}
     path.write_text(_report_line() + "\n" + json.dumps(second) + "\n")
-    with pytest.raises(SchemaError, match="record 1"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 1: "):
         load_dataset(path, "report")
 
 
@@ -202,7 +203,7 @@ def test_load_function_checks_vuln_indices(tmp_path):
         "labels": {"Severity": "High"},
     }
     path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(SchemaError, match="vuln_idx"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 0: .*vuln_idx"):
         load_dataset(path, "function")
 
 
@@ -216,7 +217,7 @@ def test_load_function_requires_nonvuln_line(tmp_path):
         "labels": {"Severity": "High"},
     }
     path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(SchemaError, match="non-vulnerable"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 0: .*non-vulnerable"):
         load_dataset(path, "function")
 
 
@@ -249,7 +250,7 @@ def test_load_post_rejects_bad_site(tmp_path):
         "answers": "", "tags": [], "label": "positive",
     }
     path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(SchemaError, match="site"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 0: .*site"):
         load_dataset(path, "post")
 
 
@@ -261,7 +262,7 @@ def test_load_post_rejects_post_without_words(tmp_path):
     }
     empty = {**good, "id": "q2", "title": " ", "body": "\n", "answers": ""}
     path.write_text(json.dumps(good) + "\n" + json.dumps(empty) + "\n")
-    with pytest.raises(SchemaError, match="^record 1: post has no words$"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: record 1: post has no words$"):
         load_dataset(path, "post")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from svassess.features import (
     aggregate_char_word,
     build_char_vocab,
     build_word_vocab,
+    fit_configs,
     standard_configs,
     transform,
     transform_many,
@@ -369,3 +371,73 @@ def test_model_load_rejects_tfidf_weighting_without_idf():
 def test_property_dict_round_trip_is_byte_identical(docs, index):
     (model, _), _ = _fit(docs, index)
     assert FeatureModel.from_dict(model.to_dict()).to_json() == model.to_json()
+
+
+@pytest.mark.parametrize("key", ["word_vocab", "char_vocab"])
+def test_model_load_rejects_duplicate_term(key):
+    obj = _tfidf_model().to_dict()
+    obj[key] = obj[key][:2] + obj[key][1:]
+    obj["idf"] = obj["idf"] + [1.0]  # the width the repeated term claims
+    with pytest.raises(ValueError, match=f"key '{key}': duplicate term {obj[key][1]!r}"):
+        FeatureModel.from_dict(obj)
+
+
+@pytest.mark.parametrize("term", ["a b", " ab", "ab\t", "a", "abcd"])
+def test_model_load_rejects_char_term_the_trim_never_keeps(term):
+    # the model's char range is 2..3; trimmed terms hold no whitespace
+    obj = _tfidf_model().to_dict()
+    obj["char_vocab"] = sorted(obj["char_vocab"][1:] + [term])
+    with pytest.raises(ValueError, match=f"key 'char_vocab': term {re.escape(repr(term))}"):
+        FeatureModel.from_dict(obj)
+
+
+def test_model_load_char_length_floor_is_two():
+    obj = _tfidf_model().to_dict()
+    obj["config"]["char_min"] = 1
+    assert FeatureModel.from_dict(obj).to_json() == json.dumps(obj, sort_keys=True)
+    obj["char_vocab"] = sorted(obj["char_vocab"][1:] + ["q"])
+    with pytest.raises(ValueError, match="term 'q' is not 2 to 3 chars"):
+        FeatureModel.from_dict(obj)
+
+
+# tokens from a small alphabet repeat; they may be one char long or hold
+# spaces (as code string literals do), and docs may be empty
+spaced_token = st.text(alphabet="abc d", min_size=1, max_size=5)
+spaced_corpus = st.lists(st.lists(spaced_token, max_size=7), min_size=1, max_size=10)
+RANGE_PAIRS = [(0, 1), (2, 5), (3, 6), (4, 7)]  # standard configs of one n-gram range
+
+
+@st.composite
+def mixed_config_subsets(draw):
+    """Indices of standard configs, in any order: two of one n-gram range,
+    one of another, and any others."""
+    pair = draw(st.sampled_from(RANGE_PAIRS))
+    other = draw(st.sampled_from([i for i in range(8) if i not in pair]))
+    extra = draw(st.lists(st.integers(0, 7), max_size=4))
+    return draw(st.permutations(sorted({*pair, other, *extra})))
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=spaced_corpus, val_docs=spaced_corpus, indices=mixed_config_subsets())
+def test_property_shared_fit_matches_each_config_alone(docs, val_docs, indices):
+    configs = [standard_configs()[i] for i in indices]
+    fitted = list(fit_configs(docs, configs, val_docs))
+    assert len(fitted) == len(configs)
+    for config, (model, train, val) in zip(configs, fitted):
+        word_vocab = build_word_vocab(docs, config)
+        char_vocab = build_char_vocab(docs, config)
+        assert model.to_json() == oracles.reference_aggregate_json(
+            docs, word_vocab, char_vocab, config.char_min, config.char_max, config
+        )
+        for matrix, rows in ((train, docs), (val, val_docs)):
+            expected = [oracles.reference_transform_row(model, tokens) for tokens in rows]
+            assert_csr_identical(matrix, oracles.reference_stack(expected, model.width))
+        terms = model.char_vocab.terms()
+        char_df = oracles.reference_char_df(docs, terms)
+        assert [model.char_vocab.df[t] for t in terms] == [char_df[t] for t in terms]
+
+
+def test_fit_configs_yields_the_error_of_each_config_it_cannot_fit():
+    fitted = list(fit_configs([], standard_configs()[:2]))
+    assert [type(f) for f in fitted] == [ValueError, ValueError]
+    assert "empty corpus" in str(fitted[0])
