@@ -35,7 +35,7 @@ from .corpus import (
     require_keys,
     utf8_lines,
 )
-from .drift import drift_report
+from .drift import drift_report_fitted
 from .evaluation import (
     POLICIES,
     GridResult,
@@ -597,13 +597,8 @@ def _cmd_assess(cfg: PipelineConfig) -> int:
 def _cmd_drift(cfg: PipelineConfig) -> int:
     ds = load_dataset(_require_dataset(cfg), cfg.granularity)
     dated = [(r.id, r.date.year, _tokenize(r, cfg.granularity)) for r in ds]
-    last_year = max(year for _, year, _ in dated)
-    train_docs = [tokens for _, year, tokens in dated if year < last_year]
-    if not train_docs:  # single-year corpus: no held-out year to contrast
-        train_docs = [tokens for _, _, tokens in dated]
     nlp = standard_configs()[cfg.feature_configs[0] - 1]
-    model, _ = _fit_one(train_docs, nlp)
-    report = drift_report(model, dated)
+    report = drift_report_fitted(dated, nlp)
     out = Path(cfg.out)
     (out / "drift.json").write_text(report.to_json() + "\n", encoding="utf-8")
     (out / "new_terms.csv").write_text(report.new_terms_csv(), encoding="utf-8")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureModel, transform_many
+from .features import FeatureModel, NlpConfig, fit_configs, transform_many
 
 
 @dataclass
@@ -60,9 +60,14 @@ def new_terms_by_year(dated_docs: list[tuple[int, list[str]]]) -> dict[int, int]
     return counts
 
 
+def _support(matrix) -> np.ndarray:
+    """Non-zero feature count of each row of a CSR matrix."""
+    return np.diff(matrix.indptr)
+
+
 def _row_support(model: FeatureModel, docs: list[list[str]]) -> np.ndarray:
     """Non-zero feature count of each doc's transformed row."""
-    return np.diff(transform_many(model, docs).indptr)
+    return _support(transform_many(model, docs))
 
 
 def _coverage(support) -> float:
@@ -85,12 +90,15 @@ def char_coverage(model: FeatureModel, docs: list[list[str]]) -> float:
 
 
 def drift_report(
-    model: FeatureModel, dated_docs: list[tuple[str, int, list[str]]]
+    dated_docs: list[tuple[str, int, list[str]]], support
 ) -> DriftReport:
-    """Full diagnostic over (id, year, tokens) triples; each doc is
-    transformed once."""
+    """Full diagnostic over (id, year, tokens) triples, given each doc's
+    non-zero feature count under the model (`support`, in doc order)."""
+    if len(support) != len(dated_docs):
+        raise ValueError(
+            f"support has {len(support)} entries for {len(dated_docs)} docs"
+        )
     new_terms = new_terms_by_year([(year, tokens) for _, year, tokens in dated_docs])
-    support = _row_support(model, [tokens for _, _, tokens in dated_docs])
     all_zero = [rid for (rid, _, _), n in zip(dated_docs, support) if n == 0]
     by_year: dict[int, list[int]] = {}
     for (_, year, _), n in zip(dated_docs, support):
@@ -99,3 +107,31 @@ def drift_report(
     return DriftReport(
         new_terms=new_terms, all_zero_ids=all_zero, coverage_by_year=coverage
     )
+
+
+def drift_report_fitted(
+    dated_docs: list[tuple[str, int, list[str]]], nlp_config: NlpConfig
+) -> DriftReport:
+    """`drift_report` under `nlp_config` fitted on every year but the last
+    (on every year of a single-year corpus: no held-out year to contrast).
+    The last year is the fit's validation docs, so each record's support
+    is read off the two matrices of one `fit_configs` pass."""
+    years = np.array([year for _, year, _ in dated_docs])
+    held_out = years == years.max()
+    if held_out.all():
+        held_out[:] = False
+    docs = [tokens for _, _, tokens in dated_docs]
+    fitted = next(
+        fit_configs(
+            [d for d, h in zip(docs, held_out) if not h],
+            [nlp_config],
+            [d for d, h in zip(docs, held_out) if h],
+        )
+    )
+    if isinstance(fitted, ValueError):
+        raise fitted
+    _, fit_matrix, held_out_matrix = fitted
+    support = np.empty(len(docs), dtype=np.int64)
+    support[~held_out] = _support(fit_matrix)
+    support[held_out] = _support(held_out_matrix)
+    return drift_report(dated_docs, support)

@@ -4,7 +4,14 @@ sparse document transforms under the eight standard NLP configurations.
 The aggregation step mirrors the fitted char+word pipeline: char grams are
 generated over space-joined tokens (so boundary grams exist), trimmed to
 single-token multi-char terms, deduplicated against the word vocabulary,
-and both parts are concatenated column-wise.
+and both parts are concatenated column-wise.  `build_char_vocab` and
+`trim_char_terms` spell that out; `fit_configs` reads the same kept terms
+straight off the distinct high-df tokens (`kept_char_terms`).
+
+Count rows are flat (indptr, indices, counts) arrays, each row's items in
+order of first occurrence, word items before char items.  Weighing
+multiplies by the idf, then divides each row by its L2 norm, whose
+squares are summed strictly left to right in that order.
 """
 
 from __future__ import annotations
@@ -92,23 +99,6 @@ class Vocabulary:
         return term in self.index
 
 
-def _rows_to_csr(rows, width: int) -> sparse.csr_matrix:
-    """One CSR over per-row {column: value} dicts: each row's non-zero
-    items in column order, zero values dropped.  The rows are read once,
-    into typed arrays, so a generator of rows is never held whole."""
-    indptr, indices, data = array("q", [0]), array("q"), array("d")
-    for row in rows:
-        indices.extend(row)
-        data.extend(row.values())
-        indptr.append(len(indices))
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(indices), np.array(indptr)), shape=(len(indptr) - 1, width)
-    )
-    matrix.sort_indices()
-    matrix.eliminate_zeros()
-    return matrix
-
-
 def vectors_to_csr(rows: list[sparse.spmatrix]) -> sparse.csr_matrix:
     """Stack sparse rows of equal width into one CSR matrix."""
     if not rows:
@@ -137,6 +127,16 @@ def build_word_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
     return Vocabulary.from_df(kept)
 
 
+def _high_df_tokens(docs: list[list[str]], config: NlpConfig) -> set[str]:
+    """Tokens whose df/N strictly exceeds char_word_doc_fraction."""
+    if not docs:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    word_df: Counter[str] = Counter()
+    for tokens in docs:
+        word_df.update(set(tokens))
+    return {t for t, c in word_df.items() if c / len(docs) > config.char_word_doc_fraction}
+
+
 def build_char_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
     """Char n-grams (boundary spaces included, pre-trim) of high-df words.
 
@@ -145,13 +145,7 @@ def build_char_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
     high-df words joined by single spaces, n in [char_min, char_max].  A
     gram of only spaces carries nothing and is dropped.
     """
-    if not docs:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
-    n_docs = len(docs)
-    word_df: Counter[str] = Counter()
-    for tokens in docs:
-        word_df.update(set(tokens))
-    high = {t for t, c in word_df.items() if c / n_docs > config.char_word_doc_fraction}
+    high = _high_df_tokens(docs, config)
     lo, hi = config.char_min, config.char_max
     df: Counter[str] = Counter()
     for tokens in docs:
@@ -162,6 +156,25 @@ def build_char_vocab(docs: list[list[str]], config: NlpConfig) -> Vocabulary:
     for gram in [g for g in df if not g.strip()]:
         del df[gram]
     return Vocabulary.from_df(df)
+
+
+def kept_char_terms(docs: list[list[str]], config: NlpConfig) -> set[str]:
+    """The char terms `trim_char_terms(build_char_vocab(docs, config),
+    config.char_min, config.char_max)` keeps, read off the distinct
+    high-df tokens: every substring, `max(2, char_min)` to `char_max`
+    chars long, of a whitespace-free piece (`str.split`) of one.
+
+    A kept term holds no whitespace, so it lies inside one such piece, and
+    every substring of a piece is a window of the joined text.
+    """
+    pieces = {piece for tok in _high_df_tokens(docs, config) for piece in tok.split()}
+    lo, hi = max(2, config.char_min), config.char_max
+    return {
+        piece[i : i + n]
+        for piece in pieces
+        for n in range(lo, min(hi, len(piece)) + 1)
+        for i in range(len(piece) - n + 1)
+    }
 
 
 @dataclass
@@ -252,32 +265,51 @@ def trim_char_terms(char_vocab: Vocabulary, char_min: int, char_max: int) -> set
     return kept
 
 
-def _word_rows(word_index: dict[str, int], lo: int, hi: int, docs) -> list[dict[int, float]]:
-    """Per doc, {column: count} of its word n-grams in `word_index`, in
-    order of first occurrence."""
-    rows = []
-    for tokens in docs:
-        counts = Counter(g for g in _word_ngrams(tokens, lo, hi) if g in word_index)
-        rows.append({word_index[g]: float(n) for g, n in counts.items()})
-    return rows
+def _flat_rows(rows):
+    """Per-row {column: count} mappings as flat (indptr, indices, counts)
+    int64 arrays, each row's items in insertion order.  The rows are read
+    once, so a generator of rows is never held whole."""
+    indptr, indices, counts = array("q", [0]), array("q"), array("q")
+    for row in rows:
+        indices.extend(row)
+        counts.extend(row.values())
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices), np.array(counts)
 
 
-def _char_rows(char_index: dict[str, int], docs) -> list[dict[int, float]]:
-    """Per doc, {column: count} of the overlapping occurrences of each
-    term of `char_index` in the doc's space-joined tokens.
+def _take_rows(rows, start: int, stop: int):
+    """Rows `start` to `stop` of flat count rows."""
+    indptr, indices, counts = rows
+    lo, hi = indptr[start], indptr[stop]
+    return indptr[start : stop + 1] - lo, indices[lo:hi], counts[lo:hi]
+
+
+def _word_rows(word_index: dict[str, int], lo: int, hi: int, docs):
+    """Per doc, the counts of its word n-grams in `word_index`, in order
+    of first occurrence, as flat rows."""
+    get = word_index.get
+    return _flat_rows(
+        Counter(c for g in _word_ngrams(tokens, lo, hi) if (c := get(g)) is not None)
+        for tokens in docs
+    )
+
+
+def _char_rows(char_index: dict[str, int], docs):
+    """Per doc, the counts of the overlapping occurrences of each term of
+    `char_index` in the doc's space-joined tokens, as flat rows.
 
     A term holds no whitespace (`trim_char_terms`, `FeatureModel.from_dict`),
     so no occurrence spans two tokens: each distinct token's hits are
     found once per length, for this call only.  Hits are merged length
     first (as the set of term lengths iterates), then token, then
     position: the order of a scan over the joined text, so each row's
-    insertion order, and with it `_weigh`'s L2 sum, is that scan's.
+    item order, and with it the L2 sum's, is that scan's.
     """
     lengths = {len(t) for t in char_index}
     get = char_index.get
     hits: dict[str, list[list[int]]] = {}  # token -> its hit columns per length
-    rows = []
-    for tokens in docs:
+
+    def counts(tokens):
         for tok in tokens:
             if tok not in hits:
                 hits[tok] = [
@@ -285,52 +317,69 @@ def _char_rows(char_index: dict[str, int], docs) -> list[dict[int, float]]:
                     for n in lengths
                 ]
         per_token = [hits[tok] for tok in tokens]
-        counts = Counter(chain.from_iterable(
+        return Counter(chain.from_iterable(
             h[k] for k in range(len(lengths)) for h in per_token
         ))
-        rows.append({col: float(n) for col, n in counts.items()})
-    return rows
+
+    return _flat_rows(counts(tokens) for tokens in docs)
 
 
-def _weigh(model: FeatureModel, counts: dict[int, float]) -> dict[int, float]:
-    """tf-idf weighting, then the L2 norm, as the model's config asks."""
+def _row_sums_of_squares(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, added strictly left to right (`np.sum`
+    adds pairwise, which rounds differently)."""
+    squares = data * data
+    bounds = indptr.tolist()
+    return np.array([
+        np.add.accumulate(squares[lo:hi])[-1] if hi > lo else 0.0
+        for lo, hi in zip(bounds, bounds[1:])
+    ])
+
+
+def _weighted_csr(model: FeatureModel, word_rows, char_rows) -> sparse.csr_matrix:
+    """Each doc's word counts, then its char counts moved past the word
+    columns, weighed by `model`: tf-idf multiplies by the idf, and the L2
+    norm divides each row by the root of its left-to-right sum of squares.
+    One CSR, columns sorted and zeros dropped."""
+    word_ptr, word_cols, word_counts = word_rows
+    char_ptr, char_cols, char_counts = char_rows
+    indptr = word_ptr + char_ptr
+    # output slot of each word item (its row's char items come after)
+    word_at = np.arange(len(word_cols)) + np.repeat(char_ptr[:-1], np.diff(word_ptr))
+    char_at = np.arange(len(char_cols)) + np.repeat(word_ptr[1:], np.diff(char_ptr))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[word_at], indices[char_at] = word_cols, char_cols + len(model.word_vocab)
+    data[word_at], data[char_at] = word_counts, char_counts
     if model.config.weighting == "tfidf" and model.idf is not None:
-        counts = {i: v * float(model.idf[i]) for i, v in counts.items()}
-    if model.config.normalize and counts:
-        norm = math.sqrt(sum(v * v for v in counts.values()))
-        if norm > 0:
-            counts = {i: v / norm for i, v in counts.items()}
-    return counts
+        data *= model.idf[indices]
+    if model.config.normalize:
+        norms = np.sqrt(_row_sums_of_squares(data, indptr))
+        norms[norms == 0] = 1.0
+        data /= np.repeat(norms, np.diff(indptr))
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, model.width))
+    matrix.sort_indices()
+    matrix.eliminate_zeros()
+    return matrix
 
 
-def _trimmed_char_part(char_vocab: Vocabulary, char_min: int, char_max: int, docs, n_fit: int):
-    """The model's char vocabulary (trimmed terms, df over the first
-    `n_fit` docs) and every doc's char count row."""
-    kept = trim_char_terms(char_vocab, char_min, char_max)
+def _trimmed_char_part(kept: set[str], docs, n_fit: int):
+    """The model's char vocabulary (the kept terms, df over the first
+    `n_fit` docs) and every doc's char count rows."""
     final_char = Vocabulary.from_df(dict.fromkeys(kept, 0))
     rows = _char_rows(final_char.index, docs)
-    char_df = Counter(chain.from_iterable(rows[:n_fit]))
+    indptr, indices, _ = rows
+    char_df = np.bincount(indices[: indptr[n_fit]], minlength=len(final_char)).tolist()
     final_char.df = {t: char_df[col] for t, col in final_char.index.items()}
     return final_char, rows
 
 
 def _word_part(word_vocab: Vocabulary, final_char: Vocabulary, lo: int, hi: int, docs):
     """The model's word vocabulary (the terms no char term shadows) and
-    every doc's word count row."""
+    every doc's word count rows."""
     final_word = Vocabulary.from_df(
         {t: word_vocab.df.get(t, 1) for t in word_vocab.index if t not in final_char.index}
     )
     return final_word, _word_rows(final_word.index, lo, hi, docs)
-
-
-def _weighted_csr(model: FeatureModel, word_rows, char_rows) -> sparse.csr_matrix:
-    """Each doc's word counts, then its char counts moved past the word
-    columns, weighed by `model`: one CSR, built one doc at a time."""
-    offset = len(model.word_vocab)
-    rows = (
-        {**w, **{offset + col: n for col, n in c.items()}} for w, c in zip(word_rows, char_rows)
-    )
-    return _rows_to_csr((_weigh(model, row) for row in rows), model.width)
 
 
 def _weighted_model(final_word, final_char, config: NlpConfig, n_docs: int) -> FeatureModel:
@@ -366,7 +415,8 @@ def aggregate_char_word(
     """
     if not (1 <= char_min <= char_max):
         raise ValueError("inconsistent char range for aggregation")
-    final_char, char_rows = _trimmed_char_part(char_vocab, char_min, char_max, docs, len(docs))
+    kept = trim_char_terms(char_vocab, char_min, char_max)
+    final_char, char_rows = _trimmed_char_part(kept, docs, len(docs))
     final_word, word_rows = _word_part(
         word_vocab, final_char, config.word_ngram_min, config.word_ngram_max, docs
     )
@@ -381,17 +431,18 @@ def fit_configs(docs: list[list[str]], configs, val_docs=()):
     `ValueError` fitting it raised.  The model and the `docs` matrix are
     those of `aggregate_char_word` over the config's own vocabularies.
 
-    Configs share what they have in common, for this call only: the char
-    vocabulary and every doc's char counts once per char settings, the
-    word vocabulary once per word settings and the word counts once per
-    (word, char) settings pair.  Each config then only merges and weighs
-    the shared counts, one doc at a time.  Every result equals fitting its
+    Configs share what they have in common, for this call only: the kept
+    char terms (`kept_char_terms`, from the distinct high-df tokens) and
+    every doc's char counts once per char settings, the word vocabulary
+    once per word settings and the word counts once per (word, char)
+    settings pair.  Each config then only merges and weighs the shared
+    flat count rows, in array passes.  Every result equals fitting its
     config alone bit for bit.  The generator holds no yielded matrix, so a
     caller that drops each result before asking for the next keeps one
     config's matrices alive.
     """
     all_docs = [*docs, *val_docs]
-    n_fit = len(docs)
+    n_fit, n_all = len(docs), len(all_docs)
     char_parts: dict[tuple, tuple] = {}  # char settings -> (char vocab, rows)
     word_vocabs: dict[tuple, Vocabulary] = {}  # word settings -> word vocab
     word_parts: dict[tuple, tuple] = {}  # (word, char settings) -> (word vocab, word rows)
@@ -401,8 +452,7 @@ def fit_configs(docs: list[list[str]], configs, val_docs=()):
         try:
             if char_key not in char_parts:
                 char_parts[char_key] = _trimmed_char_part(
-                    build_char_vocab(docs, config), config.char_min, config.char_max,
-                    all_docs, n_fit,
+                    kept_char_terms(docs, config), all_docs, n_fit
                 )
             final_char, char_rows = char_parts[char_key]
             if word_key not in word_vocabs:
@@ -419,8 +469,10 @@ def fit_configs(docs: list[list[str]], configs, val_docs=()):
         model = _weighted_model(final_word, final_char, config, n_fit)
         yield (
             model,
-            _weighted_csr(model, word_rows[:n_fit], char_rows[:n_fit]),
-            _weighted_csr(model, word_rows[n_fit:], char_rows[n_fit:]),
+            _weighted_csr(model, _take_rows(word_rows, 0, n_fit), _take_rows(char_rows, 0, n_fit)),
+            _weighted_csr(
+                model, _take_rows(word_rows, n_fit, n_all), _take_rows(char_rows, n_fit, n_all)
+            ),
         )
 
 

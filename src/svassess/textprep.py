@@ -34,9 +34,11 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
+@lru_cache(maxsize=1 << 16)
 def _stem_fixpoint(word: str) -> str:
     # Stemming is applied until stable so preprocessing is idempotent
     # (a single Porter pass can expose a further strippable suffix).
+    # Memoised: a corpus repeats few distinct words many times.
     while True:
         stemmed = porter_stem(word)
         if stemmed == word:
@@ -52,6 +54,7 @@ def preprocess_text(text: str) -> list[str]:
     fixpoint; interior punctuation survives.  Chunks are lowercased, and
     alphabetic ASCII ones stemmed.  Stopwords are dropped both before and
     after stemming (a stem can itself be a stopword, e.g. willing -> will).
+    Each distinct word is stemmed once per process (a bounded memo).
     """
     stopwords = default_stopwords()
     out: list[str] = []

@@ -238,7 +238,12 @@ def reference_transform_row(model, tokens):
         config.weighting == "tfidf" if config.l2_normalize is None else config.l2_normalize
     )
     if normalize and counts:
-        norm = math.sqrt(sum(v * v for v in counts.values()))
+        # squares added left to right in insertion order (from Python 3.12,
+        # the builtin `sum` of floats compensates, which rounds differently)
+        acc = 0.0
+        for v in counts.values():
+            acc += v * v
+        norm = math.sqrt(acc)
         if norm > 0:
             counts = {i: v / norm for i, v in counts.items()}
     items = sorted((i, v) for i, v in counts.items() if v != 0.0)

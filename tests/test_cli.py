@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svassess import cli, features, models
-from svassess.corpus import CVSS_TASKS
+from svassess.corpus import CVSS_TASKS, load_dataset
+from svassess.drift import char_coverage, find_all_zero_cases
 from svassess.models import ClassifierSpec, train_classifier
 from svassess.pumine import ContentFilterConfig
+from svassess.textprep import preprocess_text
 
 DATA = Path(__file__).parent / "data" / "synthetic_reports.jsonl"
 
@@ -315,7 +317,7 @@ def test_feature_pass_builds_each_vocabulary_once_per_fold(
     tmp_path, small_reports, monkeypatch, capsys
 ):
     calls = []  # (builder, docs it was given)
-    for name in ("build_word_vocab", "build_char_vocab"):
+    for name in ("build_word_vocab", "kept_char_terms"):
         def counted(docs, config, _build=getattr(features, name), _name=name):
             calls.append((_name, len(docs)))
             return _build(docs, config)
@@ -339,20 +341,20 @@ def test_feature_pass_builds_each_vocabulary_once_per_fold(
         return {choice["feature_config"] for choice in selected.values()}
 
     # configs 1 and 8 share their char settings, not their n-gram range:
-    # 2 folds x 1 char vocabulary, 2 folds x 2 word vocabularies, then one
+    # 2 folds x 1 set of char terms, 2 folds x 2 word vocabularies, then one
     # refit pass over the winning configs
     on_folds, on_all = run("train", [1, 8])
-    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2 * 2}
-    assert on_all == {"build_char_vocab": 1, "build_word_vocab": len(winners())}
+    assert on_folds == {"kept_char_terms": 2, "build_word_vocab": 2 * 2}
+    assert on_all == {"kept_char_terms": 1, "build_word_vocab": len(winners())}
     on_folds, on_all = run("evaluate", [1, 8])
-    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2 * len(winners())}
+    assert on_folds == {"kept_char_terms": 2, "build_word_vocab": 2 * len(winners())}
     assert not on_all
     # configs 1 and 2 also share their n-gram range
     on_folds, on_all = run("train", [1, 2])
-    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2}
-    assert on_all == {"build_char_vocab": 1, "build_word_vocab": 1}
+    assert on_folds == {"kept_char_terms": 2, "build_word_vocab": 2}
+    assert on_all == {"kept_char_terms": 1, "build_word_vocab": 1}
     on_folds, on_all = run("evaluate", [1, 2])
-    assert on_folds == {"build_char_vocab": 2, "build_word_vocab": 2}
+    assert on_folds == {"kept_char_terms": 2, "build_word_vocab": 2}
     assert not on_all
 
 
@@ -907,6 +909,38 @@ def test_drift_outputs(tmp_path, small_reports, capsys):
     printed = capsys.readouterr().out
     assert "2012:" in printed
     assert "all-zero records:" in printed
+
+
+def test_drift_reads_each_record_support_off_the_fit_pass(tmp_path, small_reports, capsys):
+    # `drift` fits on every year but the last and counts the last year in
+    # the same pass; the report equals transforming every record afresh
+    lines = small_reports.read_text(encoding="utf-8").splitlines()
+    oov = json.loads(lines[-1])
+    oov.update(id="SV-OOV", description="Ψψψ ωωω")
+    last_year = [line for line in lines if json.loads(line)["date"].startswith("2012")]
+    # on one year, its own words are fitted: no held-out year to miss them
+    for rows, missed in ((lines, True), (last_year, False)):
+        rows = [*rows, json.dumps(oov, ensure_ascii=False)]
+        dataset = tmp_path / "drift.jsonl"
+        dataset.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dataset, out, feature_configs=[8])
+        assert cli.main(["drift", "--config", str(config)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "drift.json").read_text(encoding="utf-8"))
+        dated = [
+            (r.id, r.date.year, preprocess_text(r.description))
+            for r in load_dataset(dataset, "report")
+        ]
+        train = [tokens for _, year, tokens in dated if year < 2012] or [t for *_, t in dated]
+        [(model, _, _)] = features.fit_configs(train, [features.standard_configs()[7]])
+        pairs = [(rid, tokens) for rid, _, tokens in dated]
+        assert ("SV-OOV" in report["all_zero_ids"]) == missed
+        assert report["all_zero_ids"] == find_all_zero_cases(model, pairs)
+        assert report["coverage_by_year"] == {
+            str(year): char_coverage(model, [t for _, y, t in dated if y == year])
+            for year in sorted({year for _, year, _ in dated})
+        }
 
 
 # -- context -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from svassess.features import (
     aggregate_char_word,
     build_char_vocab,
     build_word_vocab,
+    fit_configs,
     standard_configs,
+    transform_many,
 )
 
 import oracles
@@ -109,13 +112,19 @@ def test_drift_report_bundles_everything():
         ("r2", 2011, ["fresh", "overflow"]),
         ("r3", 2012, ["nothing", "matches"]),
     ]
-    report = drift_report(model, dated)
+    support = np.diff(transform_many(model, [tokens for _, _, tokens in dated]).indptr)
+    report = drift_report(dated, support)
     assert report.new_terms == {2011: 2, 2012: 2}
     assert report.all_zero_ids == ["r3"]
     assert report.coverage_by_year == {2010: 1.0, 2011: 1.0, 2012: 0.0}
     payload = json.loads(report.to_json())
     assert payload["new_terms"] == {"2011": 2, "2012": 2}
     assert report.new_terms_csv().startswith("year,new_terms\n2011,2\n")
+
+
+def test_drift_report_rejects_support_of_another_length():
+    with pytest.raises(ValueError, match="support has 1 entries for 2 docs"):
+        drift_report([("r1", 2010, ["a"]), ("r2", 2011, ["b"])], [1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,17 +163,11 @@ def test_property_new_term_counts_bounded_by_vocabulary(docs):
     index=st.integers(0, 7),
 )
 def test_property_drift_report_agrees_with_per_doc_diagnostics(train, dated, index):
+    # the support of the validation matrix of the fit, as `drift` reads it
     config = standard_configs()[index]
-    model, _ = aggregate_char_word(
-        train,
-        build_word_vocab(train, config),
-        build_char_vocab(train, config),
-        config.char_min,
-        config.char_max,
-        config,
-    )
     triples = [(f"r{i}", year, tokens) for i, (year, tokens) in enumerate(dated)]
-    report = drift_report(model, triples)
+    [(model, _, held_out)] = fit_configs(train, [config], [tokens for _, tokens in dated])
+    report = drift_report(triples, np.diff(held_out.indptr))
     pairs = [(rid, tokens) for rid, _, tokens in triples]
     assert report.all_zero_ids == find_all_zero_cases(model, pairs)
     assert report.all_zero_ids == [

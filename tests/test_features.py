@@ -16,6 +16,7 @@ from svassess.features import (
     build_char_vocab,
     build_word_vocab,
     fit_configs,
+    kept_char_terms,
     standard_configs,
     transform,
     transform_many,
@@ -435,6 +436,39 @@ def test_property_shared_fit_matches_each_config_alone(docs, val_docs, indices):
         terms = model.char_vocab.terms()
         char_df = oracles.reference_char_df(docs, terms)
         assert [model.char_vocab.df[t] for t in terms] == [char_df[t] for t in terms]
+
+
+# tokens that hold inner whitespace of several kinds, and one-char tokens
+whitespace_token = st.one_of(
+    st.sampled_from(['"a b"', "x\ty", "ab cd", "a", "b", " ", "ab\n", "\u2003bc"]),
+    st.text(alphabet="ab \t", min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    docs=st.lists(st.lists(whitespace_token, max_size=6), min_size=1, max_size=8),
+    char_min=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    fraction=st.sampled_from([0.05, 0.10, 0.5, 1.0]),
+)
+def test_property_char_terms_from_distinct_tokens_equal_the_trimmed_vocabulary(
+    docs, char_min, extra, fraction
+):
+    config = NlpConfig(
+        char_min=char_min, char_max=char_min + extra, char_word_doc_fraction=fraction
+    )
+    expected = trim_char_terms(build_char_vocab(docs, config), config.char_min, config.char_max)
+    assert kept_char_terms(docs, config) == expected
+    [(model, _, _)] = fit_configs(docs, [config])
+    assert set(model.char_vocab.index) == expected
+
+
+def test_char_terms_skip_whitespace_and_one_char_pieces():
+    docs = [['"a b"', "x\ty", "ab cd", "q"]]
+    assert kept_char_terms(docs, NlpConfig(char_min=1, char_max=3)) == {"ab", "cd", '"a', 'b"'}
+    with pytest.raises(ValueError, match="empty corpus"):
+        kept_char_terms([], NlpConfig())
 
 
 def test_fit_configs_yields_the_error_of_each_config_it_cannot_fit():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from svassess import textprep
 from svassess.porter import porter_stem
 from svassess.textprep import (
     code_line_mask,
@@ -68,6 +69,24 @@ def test_preprocess_trailing_punct_to_fixpoint():
 def test_preprocess_stopword_created_by_stemming_dropped():
     # willing stems to will, which is a stopword
     assert preprocess_text("willing") == []
+
+
+def test_preprocess_stems_each_distinct_word_once(monkeypatch):
+    stemmed = []
+
+    def counted(word):
+        stemmed.append(word)
+        return porter_stem(word)
+
+    monkeypatch.setattr(textprep, "porter_stem", counted)
+    textprep._stem_fixpoint.cache_clear()
+    try:
+        text = "parsing overflows parsing Overflows parsing"
+        assert preprocess_text(text) == ["par", "overflow"] * 2 + ["par"]
+    finally:
+        textprep._stem_fixpoint.cache_clear()
+    # each distinct word until its stem is stable: parsing -> pars -> par
+    assert stemmed == ["parsing", "pars", "par", "overflows", "overflow"]
 
 
 def test_default_stopwords_lowercase():
