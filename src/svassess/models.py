@@ -5,12 +5,21 @@ concatenation for single-model multi-task prediction.
 
 The SGD schedule (log or hinge loss, L2 strength 1/C, 100 epochs,
 learning rate 0.01 with 1/t decay over the global update counter) is
-part of the contract: two runs with one seed are bit-identical.  A
-sample's margin is the plain sum, in support order, of its values times
-the weights, not a BLAS product, whose summation order would change with
-the number of columns; so fits that share rows and seed train in one
-pass (`train_linear_stack`), and each comes out bit for bit as if it had
-trained alone.  `fit_many` is the one entry point for fitting many
+part of the contract: two runs with one seed are bit-identical.  Each
+step makes two calls into the compiled kernels behind scipy's own
+`csr @ dense`, from the private module `scipy.sparse._sparsetools`:
+`csr_matvecs` gives the sample's margins (its row times the weights) and
+`csc_matvecs` adds the update (the row's values times the step vector)
+into the weights in place.  Both add each rounded product to its output
+in support order, whatever the number of columns, where a BLAS product
+would change its summation order with the number of columns; so fits
+that share rows and seed train in one pass (`train_linear_stack`), and
+each comes out bit for bit as if it had trained alone.  The kernels do
+not check their indices, so `_as_csr` checks every matrix first.
+`tests/test_models.py` pins both calls, bit for bit, to the numpy
+expressions they replaced, so a scipy release or a platform whose kernel
+fuses multiply and add fails there instead of moving model bundles; only
+x86-64 is verified.  `fit_many` is the one entry point for fitting many
 classifiers of any kind on one matrix; it alone decides which stack.
 """
 
@@ -22,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .corpus import from_fields
 
@@ -180,13 +190,30 @@ class TrainedModel:
 
 
 def _as_csr(features) -> sparse.csr_matrix:
+    """`features` as a float CSR that the unchecked compiled kernels may
+    index: `indptr` starts at 0 and never decreases, and every column index
+    lies in [0, width).  Raises `ValueError` otherwise, or on a non-finite
+    value.  A row that repeats a column (or leaves its columns unsorted) is
+    replaced, on a copy, by its canonical form, with the repeats summed."""
     if sparse.issparse(features):
         mat = features.tocsr()
     else:
         mat = sparse.csr_matrix(np.asarray(features, dtype=float))
-    if mat.nnz and not np.all(np.isfinite(mat.data)):
+    n, width = mat.shape
+    ptr = mat.indptr
+    nnz = ptr[-1]
+    if ptr[0] != 0 or (ptr[1:] < ptr[:-1]).any() or nnz > min(len(mat.indices), len(mat.data)):
+        raise ValueError("CSR indptr must start at 0, never decrease and end within the entries")
+    idx = mat.indices[:nnz]
+    if nnz and not 0 <= idx.min() <= idx.max() < width:
+        raise ValueError(f"CSR column index outside [0, {width})")
+    if nnz and not np.isfinite(mat.data[:nnz]).all():
         raise ValueError("features contain NaN or infinite values")
-    return mat.astype(float, copy=False)
+    mat = mat.astype(float, copy=False)
+    if not _sparsetools.csr_has_canonical_format(n, mat.indptr, mat.indices):
+        mat = mat.copy()  # fresh format flags, and the caller's arrays untouched
+        mat.sum_duplicates()
+    return mat
 
 
 def _encode_labels(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -285,6 +312,24 @@ def _train_naive_bayes(spec, mat, classes, y, seed) -> TrainedModel:
     )
 
 
+def _support_dots(row, v: np.ndarray, out: np.ndarray) -> None:
+    """`out` = the (ptr, cols, vals) row times `v`: out[j] is the sum, over
+    the support in order, of vals[k] * v[cols[k], j], each product rounded
+    and then added to a running sum that starts at +0.0.  `v` must be
+    C-contiguous."""
+    ptr, cols, vals = row
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(1, v.shape[0], v.shape[1], ptr, cols, vals, v.reshape(-1), out)
+
+
+def _support_add(row, step: np.ndarray, v: np.ndarray) -> None:
+    """v[cols[k], j] += vals[k] * step[j] in place, over the support in
+    order, each product rounded before the add.  `v` must be C-contiguous,
+    so that its flat view is `v` itself."""
+    ptr, cols, vals = row
+    _sparsetools.csc_matvecs(v.shape[0], 1, v.shape[1], ptr, cols, vals, step, v.reshape(-1))
+
+
 def train_linear_stack(
     features, groups: Sequence[tuple[ClassifierSpec, tuple[str, ...], np.ndarray]], seed: int = 0
 ) -> list[TrainedModel]:
@@ -299,6 +344,12 @@ def train_linear_stack(
     a zero gradient in a step where another's is not adds exact zeros.
     The bias is unregularized.  Log-loss columns come first, hinge columns
     after them, so `exp` never runs on a hinge column.
+
+    A step costs two compiled calls over the sample's support, one C loop
+    each: `_support_dots` for the margins and `_support_add` for the
+    update, both in support order (see the module docstring).  Column
+    rescales are in-place ops on `v`, which stays C-contiguous, and the
+    rates and decay factors of an epoch are computed in one pass each.
     """
     mat = _as_csr(features)
     n, width = mat.shape
@@ -318,34 +369,35 @@ def train_linear_stack(
     bias = np.zeros(n_cols)
     scale = np.ones(n_cols)
     g = np.empty(n_cols)
+    dots = np.empty(n_cols)
     rows = [
-        (mat.indices[mat.indptr[i] : mat.indptr[i + 1]],
-         mat.data[mat.indptr[i] : mat.indptr[i + 1]])
-        for i in range(n)
+        (np.array([0, hi - lo], dtype=mat.indices.dtype), mat.indices[lo:hi], mat.data[lo:hi])
+        for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:])
     ]
     rng = np.random.default_rng(seed)
-    t = 0
-    for _ in range(SGD_EPOCHS):
-        for i in rng.permutation(n):
-            t += 1
-            eta = SGD_BASE_LR / t
-            cols, vals = rows[i]
-            # a plain sum over the support: its order does not depend on
-            # how many columns are stacked, as a gemv's order would
-            margins = scale * (vals[:, None] * v.take(cols, 0)).sum(0) + bias
+    for epoch in range(SGD_EPOCHS):
+        # each step's rate 0.01/t and decay 1 - eta*lam, a whole epoch at once
+        etas = SGD_BASE_LR / np.arange(epoch * n + 1, epoch * n + n + 1)
+        factors = 1.0 - etas[:, None] * lam
+        renorms = 1.0 - etas * lam_max <= 1e-12
+        for i, eta, factor, renorm in zip(rng.permutation(n), etas.tolist(), factors, renorms):
+            row = rows[i]
+            _support_dots(row, v, dots)
+            margins = scale * dots + bias
             ys = sign[i]
             ym = ys * margins
-            g[:n_log] = ys[:n_log] / (1.0 + np.exp(ym[:n_log]))
-            g[n_log:] = ys[n_log:] * (ym[n_log:] < 1.0)
-            factor = 1.0 - eta * lam
-            if 1.0 - eta * lam_max <= 1e-12:
+            if n_log:
+                g[:n_log] = ys[:n_log] / (1.0 + np.exp(ym[:n_log]))
+            if n_log < n_cols:
+                g[n_log:] = ys[n_log:] * (ym[n_log:] < 1.0)
+            if renorm:
                 low = factor <= 1e-12
                 v[:, low] *= scale[low] * factor[low]
                 scale = np.where(low, 1.0, scale * factor)
             else:
                 scale *= factor
             if g.any():
-                v[cols] += vals[:, None] * (g * (eta / scale))
+                _support_add(row, g * (eta / scale), v)
             bias += eta * g
             if scale.min() < 1e-9:
                 tiny = scale < 1e-9

@@ -267,6 +267,20 @@ def reference_stack(rows, width):
     )
 
 
+def reference_support_dots(cols, vals, v):
+    """The SGD margin kernel as the numpy expression it replaced: the
+    support's products, then their sum over the support, per column."""
+    return (vals[:, None] * v.take(cols, 0)).sum(0)
+
+
+def reference_support_add(cols, vals, step, v):
+    """The SGD update kernel as the numpy expression it replaced, on a copy
+    of `v`: `vals[k] * step` added to row `cols[k]` (distinct columns)."""
+    out = v.copy()
+    out[cols] += vals[:, None] * step
+    return out
+
+
 def reference_char_df(docs, terms):
     """Docs whose space-joined tokens contain each term, by substring scan."""
     df = {t: 0 for t in terms}

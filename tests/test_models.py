@@ -32,6 +32,9 @@ from svassess.models import (
     xcva_decode,
     xcva_encode,
 )
+from svassess.models import _support_add, _support_dots
+
+import oracles
 
 SEP_X = np.array([[-2.0, 0.1], [-2.2, -0.1], [-1.8, 0.3], [2.0, 0.0], [2.1, 0.2], [1.9, -0.2]])
 SEP_Y = ["left", "left", "left", "right", "right", "right"]
@@ -200,6 +203,81 @@ def test_property_stacked_groups_train_as_they_would_alone(data):
         assert model.spec == spec and model.labels == classes == alone.labels
         assert _bitwise_equal(model.coef, alone.coef)
         assert _bitwise_equal(model.intercept, alone.intercept)
+
+
+# ±0, subnormals and products near the bottom of the range, where a fused
+# multiply-add (one rounding instead of two) would show first
+_KERNEL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-160]),
+    st.floats(-1e-150, 1e-150),
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_sgd_kernels_equal_the_numpy_expressions(data):
+    width = data.draw(st.integers(1, 40), label="width")
+    n_cols = data.draw(st.integers(1, 8), label="columns")
+    cols = np.array(
+        data.draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width), label="support"),
+        dtype=np.int32,
+    )
+    k = len(cols)
+    vals = np.array(data.draw(st.lists(_KERNEL_FLOATS, min_size=k, max_size=k)), dtype=float)
+    v = np.array(
+        data.draw(st.lists(_KERNEL_FLOATS, min_size=width * n_cols, max_size=width * n_cols)),
+        dtype=float,
+    ).reshape(width, n_cols)
+    step = np.array(data.draw(st.lists(_KERNEL_FLOATS, min_size=n_cols, max_size=n_cols)))
+    row = (np.array([0, k], dtype=np.int32), cols, vals)
+    dots = np.full(n_cols, np.nan)
+    _support_dots(row, v, dots)
+    assert _bitwise_equal(dots, oracles.reference_support_dots(cols, vals, v))
+    updated = v.copy()
+    _support_add(row, step, updated)
+    assert _bitwise_equal(updated, oracles.reference_support_add(cols, vals, step, v))
+
+
+def _malformed(indices, indptr):
+    """A 2 x 3 CSR that scipy builds without complaint."""
+    data = np.ones(len(indices))
+    return sparse.csr_matrix(
+        (data, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)), shape=(2, 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "indices, indptr, error",
+    [
+        ([0, 3], [0, 1, 2], "column index"),  # one past the last column
+        ([0, -1], [0, 1, 2], "column index"),
+        ([0, 1], [0, 2, 1], "indptr"),
+    ],
+)
+def test_malformed_csr_is_rejected_before_any_kernel_runs(indices, indptr, error):
+    x = _malformed(indices, indptr)
+    spec = ClassifierSpec(kind="logistic_regression")
+    (fitted,) = fit_many(x, [(spec, ["a", "b"])])
+    assert isinstance(fitted, ValueError) and error in str(fitted)
+    model = train_classifier(spec, np.eye(3)[:2], ["a", "b"])
+    with pytest.raises(ValueError, match=error):
+        predict(model, x)
+
+
+def test_repeated_column_in_a_row_is_summed_on_a_copy():
+    x = sparse.csr_matrix(
+        (np.array([1.0, 2.0, 0.5, 4.0]), np.array([1, 1, 0, 2]), np.array([0, 2, 4])),
+        shape=(2, 3),
+    )
+    data, indices = x.data.copy(), x.indices.copy()
+    summed = np.array([[0.0, 3.0, 0.0], [0.5, 0.0, 4.0]])
+    for kind in ("logistic_regression", "linear_svm"):
+        spec = ClassifierSpec(kind=kind)
+        got = train_classifier(spec, x, ["a", "b"], seed=2)
+        want = train_classifier(spec, summed, ["a", "b"], seed=2)
+        assert _same_model(got, want)
+    assert np.array_equal(x.data, data) and np.array_equal(x.indices, indices)
 
 
 def _same_model(a: TrainedModel, b: TrainedModel) -> bool:
